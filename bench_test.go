@@ -8,6 +8,7 @@ package deepcontext
 // dcexp tool runs the same experiments at the paper's 100 iterations.
 
 import (
+	"bytes"
 	"io"
 	"strconv"
 	"strings"
@@ -244,6 +245,44 @@ func BenchmarkProfileSaveLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The codec on its own, on the largest cell profile: every durable ingest
+// pays one decode, and every snapshot one encode per retained series.
+func BenchmarkProfdbEncode(b *testing.B) {
+	p, err := ProfileWorkload("ViT", Config{}, Knobs{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := profdb.Save(&buf, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+func BenchmarkProfdbDecode(b *testing.B) {
+	p, err := ProfileWorkload("ViT", Config{}, Knobs{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := profdb.Save(&buf, p); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := profdb.Load(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@ package main
 // transport auth (see docs/OPERATIONS.md §11).
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -56,10 +57,13 @@ func (s *server) handleClusterIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.endWrite()
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	sum, err := cluster.ApplyForward(s.store, body, s.maxBody)
+	raw, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	sum, err := cluster.ApplyForward(s.store, bytes.NewReader(raw), s.maxBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeIngestError(w, err)
 		return
 	}
 	writeJSONStatus(w, http.StatusAccepted, sum)

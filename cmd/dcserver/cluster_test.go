@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +64,8 @@ func (nd *tcNode) serve(t *testing.T, ln net.Listener) {
 
 // bootTestCluster starts n nodes on ephemeral ports under one routing
 // table. n == 1 boots without a coordinator — the single-node control.
+// With cfg.Dir set, each node is durable under <Dir>/<node id> and
+// recovers whatever an earlier boot left there.
 func bootTestCluster(t *testing.T, cfg profstore.Config, n int) []*tcNode {
 	t.Helper()
 	nodes := make([]*tcNode, n)
@@ -79,8 +82,17 @@ func bootTestCluster(t *testing.T, cfg profstore.Config, n int) []*tcNode {
 		tbl.Nodes = append(tbl.Nodes, cluster.Node{ID: id, Addr: "http://" + ln.Addr().String()})
 	}
 	for i, nd := range nodes {
-		nd.store = profstore.New(cfg)
+		ncfg := cfg
+		if cfg.Dir != "" {
+			ncfg.Dir = filepath.Join(cfg.Dir, nd.id)
+		}
+		nd.store = profstore.New(ncfg)
 		t.Cleanup(nd.store.Close)
+		if ncfg.Dir != "" {
+			if _, err := nd.store.Recover(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if n > 1 {
 			coord, err := cluster.New(cluster.Config{
 				Self: nd.id, Store: nd.store, Table: tbl, Telemetry: nd.store.Telemetry(),
@@ -126,6 +138,17 @@ var equivalenceSeries = []struct{ w, v, f string }{
 	{"resnet", "nvidia", "jax"},
 }
 
+// equivalenceQueries is the query surface the byte-equivalence tests
+// compare, error responses included.
+var equivalenceQueries = []string{
+	"/hotspots?top=10",
+	"/hotspots?metric=bogus_metric&top=3",
+	"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=10",
+	"/topk?k=5",
+	"/search?frame=gemm&limit=10",
+	"/regressions?dir=both&limit=0",
+}
+
 // ingestEquivalenceRounds drives the same deterministic ingest timeline
 // (bundles through the router node, one window per round) into any
 // deployment.
@@ -161,14 +184,7 @@ func ingestEquivalenceRounds(t *testing.T, hc *http.Client, url string, clock *t
 // query cache on or off — fed the identical ingest timeline must answer
 // every query endpoint (including the error responses) byte-identically.
 func TestClusterEquivalenceMatrix(t *testing.T) {
-	queries := []string{
-		"/hotspots?top=10",
-		"/hotspots?metric=bogus_metric&top=3",
-		"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=10",
-		"/topk?k=5",
-		"/search?frame=gemm&limit=10",
-		"/regressions?dir=both&limit=0",
-	}
+	queries := equivalenceQueries
 	type answer struct {
 		code int
 		body string

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -270,33 +271,35 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.endWrite()
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	entries, err := profdb.LoadBundleLimit(body, s.maxBody)
+	raw, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	entries, err := profdb.DecodeBundle(raw)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.Is(err, profdb.ErrTooLarge) || errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
+		writeIngestError(w, err)
 		return
 	}
 	var out cluster.IngestSummary
 	seenWin := map[string]bool{}
-	var forwards map[string][]*deepcontext.Profile
+	forwards := forwardSet{}
 	for _, e := range entries {
+		// The bytes just validated by decoding are what gets logged or
+		// forwarded; the profile is not encoded again on this node.
 		if s.cluster != nil {
 			if owner := s.cluster.OwnerOf(profstore.LabelsOf(e.Profile.Meta)); owner != s.cluster.Self() {
-				if forwards == nil {
-					forwards = map[string][]*deepcontext.Profile{}
+				if err := forwards.to(owner).Add(e.Profile, e.Encoded()); err != nil {
+					writeError(w, http.StatusInternalServerError, err)
+					return
 				}
-				forwards[owner] = append(forwards[owner], e.Profile)
 				continue
 			}
 		}
-		start, err := s.store.Ingest(e.Profile)
+		start, err := s.store.Ingest(e.Profile, e.Encoded())
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			// The body decoded, so what is left to fail is this node's
+			// durability (layout check, WAL append): not the client's fault.
+			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		out.Ingested++
@@ -307,7 +310,13 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, owner := range sortedKeys(forwards) {
-		sum, err := s.cluster.ForwardIngest(r.Context(), owner, forwards[owner])
+		fw := forwards[owner]
+		body, err := fw.Bytes()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		sum, err := s.cluster.ForwardBytes(r.Context(), owner, body, fw.Len())
 		if err != nil {
 			// The local share (and any earlier forward) already landed;
 			// 502 tells the client this bundle was only partially applied.
@@ -324,6 +333,58 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSONStatus(w, http.StatusAccepted, out)
+}
+
+// forwardSet collects the profiles a request must forward, one batch per
+// owning node.
+type forwardSet map[string]*cluster.Forwarder
+
+// to returns owner's batch, starting it on first use.
+func (fs forwardSet) to(owner string) *cluster.Forwarder {
+	fw := fs[owner]
+	if fw == nil {
+		fw = cluster.NewForwarder()
+		fs[owner] = fw
+	}
+	return fw
+}
+
+// readBody reads a request body of at most maxBody bytes, in one
+// allocation when the client declared its length: the buffer is sized from
+// Content-Length (plus the slack ReadFrom needs to see EOF without
+// growing), never beyond the cap however large the header claims. Chunked
+// bodies grow as they arrive. On failure it has written the response: 413
+// for an oversize body, 400 for one that could not be read.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := min(r.ContentLength, s.maxBody+1); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, err)
+		} else {
+			writeError(w, http.StatusBadRequest, err)
+		}
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// writeIngestError maps a failure past the body read to its status: 413
+// for a payload over the cap, 400 for one that does not decode, and 500
+// for everything else — by then the input was fine and this node failed to
+// store it.
+func writeIngestError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, profdb.ErrTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	case errors.Is(err, profdb.ErrCorrupt):
+		writeError(w, http.StatusBadRequest, err)
+	default:
+		writeError(w, http.StatusInternalServerError, err)
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -301,7 +301,10 @@ func TestDiffEndpointAcrossWindows(t *testing.T) {
 
 func TestMethodAndBodyRejections(t *testing.T) {
 	clock := &testClock{t: testBase}
-	ts, _ := newTestServer(t, clock, 512)
+	// The cap sits one byte under a real profile's encoding, so the
+	// oversize case does not depend on how compact the format is.
+	big := dcpBytes(t, testProfile("UNet", 1))
+	ts, _ := newTestServer(t, clock, int64(len(big))-1)
 
 	// Wrong methods → 405.
 	resp, err := http.Get(ts.URL + "/ingest")
@@ -341,11 +344,7 @@ func TestMethodAndBodyRejections(t *testing.T) {
 		t.Fatalf("corrupt ingest: status=%d body=%+v", resp.StatusCode, eb)
 	}
 
-	// Oversized body (server capped at 512 bytes) → 413.
-	big := dcpBytes(t, testProfile("UNet", 1))
-	if len(big) <= 512 {
-		t.Fatalf("fixture too small to exceed cap: %d bytes", len(big))
-	}
+	// Oversized body (one byte over the server's cap) → 413.
 	resp = postIngest(t, ts, big)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

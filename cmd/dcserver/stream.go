@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deepcontext/internal/cluster"
 	"deepcontext/internal/profdb"
 	"deepcontext/internal/profstore"
 	"deepcontext/internal/telemetry"
@@ -296,7 +295,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// re-encoded as full frames the moment they materialize (the
 		// session base mutates under the next delta) and forwarded per
 		// destination after the local share lands.
-		var fwd map[string]*cluster.Forwarder
+		fwd := forwardSet{}
 		var prep []profstore.PreparedProfile
 		for i := range b.Frames {
 			f := &b.Frames[i]
@@ -340,15 +339,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			if s.cluster != nil {
 				if owner := s.cluster.OwnerOf(profstore.LabelsOf(f.Meta)); owner != s.cluster.Self() {
-					if fwd == nil {
-						fwd = map[string]*cluster.Forwarder{}
-					}
-					fw := fwd[owner]
-					if fw == nil {
-						fw = cluster.NewForwarder()
-						fwd[owner] = fw
-					}
-					if err := fw.Add(p); err != nil {
+					if err := fwd.to(owner).Add(p, nil); err != nil {
 						s.streams.drop(sess, "forward_encode_error")
 						writeError(w, http.StatusInternalServerError, err)
 						return
@@ -362,8 +353,10 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// mutates in place when the next delta frame applies.
 			pp, err := s.store.Prepare(p)
 			if err != nil {
+				// The frame applied, so this is the store refusing (layout
+				// check, encode): a server fault like a failed append.
 				s.streams.drop(sess, "prepare_error")
-				writeError(w, http.StatusBadRequest, err)
+				writeError(w, http.StatusInternalServerError, err)
 				return
 			}
 			prep = append(prep, pp)

@@ -307,7 +307,11 @@ func TestForwardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	profs := []*profiler.Profile{testProfile("fwd-a", 1), testProfile("fwd-b", 2)}
-	sum, err := n1.coord.ForwardIngest(context.Background(), "n2", profs)
+	body, err := EncodeForward(profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := n1.coord.ForwardBytes(context.Background(), "n2", body, len(profs))
 	if err != nil {
 		t.Fatal(err)
 	}

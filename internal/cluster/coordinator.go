@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"deepcontext/internal/cct"
-	"deepcontext/internal/profiler"
 	"deepcontext/internal/profstore"
 	"deepcontext/internal/profstore/trend"
 	"deepcontext/internal/telemetry"
@@ -397,19 +396,10 @@ func (c *Coordinator) Regressions(ctx context.Context, q profstore.RegressionQue
 	return profstore.SortFindings(all, q.Limit), stats, cov, nil
 }
 
-// ForwardIngest sends profiles to their owning node's /cluster/ingest as
-// one batch of full v3 frames. No retry: a re-delivered merge would
-// double-count; the caller surfaces the error to its client instead.
-func (c *Coordinator) ForwardIngest(ctx context.Context, nodeID string, profs []*profiler.Profile) (IngestSummary, error) {
-	body, err := EncodeForward(profs)
-	if err != nil {
-		return IngestSummary{}, err
-	}
-	return c.ForwardBytes(ctx, nodeID, body, len(profs))
-}
-
-// ForwardBytes sends an already-encoded forward batch (see Forwarder)
-// holding n profiles. Like ForwardIngest, it never retries.
+// ForwardBytes sends an encoded forward batch (see Forwarder) holding n
+// profiles to their owning node's /cluster/ingest. No retry: a
+// re-delivered merge would double-count; the caller surfaces the error to
+// its client instead.
 func (c *Coordinator) ForwardBytes(ctx context.Context, nodeID string, body []byte, n int) (IngestSummary, error) {
 	var sum IngestSummary
 	c.mu.RLock()

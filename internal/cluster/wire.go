@@ -12,6 +12,7 @@ import (
 	"deepcontext/internal/profdb"
 	"deepcontext/internal/profiler"
 	"deepcontext/internal/profstore"
+	"deepcontext/internal/profstore/persist"
 	"deepcontext/internal/profstore/trend"
 )
 
@@ -114,26 +115,35 @@ type IngestSummary struct {
 
 // Forwarder accumulates profiles bound for one destination node as a
 // profdb v3 batch of full frames — the v3 wire with no session state,
-// since a full frame decodes standalone. Profiles are encoded the moment
+// since a full frame decodes standalone. Profiles are captured the moment
 // they are added: a delta session's materialized profile mutates in
 // place when the next frame applies, so deferring the encode would
 // forward the wrong snapshot.
 type Forwarder struct {
-	enc   *profdb.DeltaEncoder
-	batch *profdb.StreamBatch
+	batch profdb.StreamBatch
 }
 
 func NewForwarder() *Forwarder {
-	return &Forwarder{enc: profdb.NewDeltaEncoder(), batch: &profdb.StreamBatch{Seq: 1}}
+	return &Forwarder{batch: profdb.StreamBatch{Seq: 1}}
 }
 
-// Add snapshots one profile into the batch.
-func (f *Forwarder) Add(p *profiler.Profile) error {
-	fr, err := f.enc.EncodeFull(p, 1, uint64(len(f.batch.Frames)+1))
-	if err != nil {
-		return fmt.Errorf("cluster: encode forward: %w", err)
+// Add puts one profile into the batch. full, when the router still holds
+// the profdb bytes it decoded p from (profdb.Entry.Encoded), travels as
+// is; with nil the profile is encoded now.
+func (f *Forwarder) Add(p *profiler.Profile, full []byte) error {
+	if full == nil {
+		var err error
+		if full, err = persist.EncodeProfile(p); err != nil {
+			return fmt.Errorf("cluster: encode forward: %w", err)
+		}
 	}
-	f.batch.Frames = append(f.batch.Frames, fr)
+	f.batch.Frames = append(f.batch.Frames, profdb.StreamFrame{
+		Magic: profdb.FormatMagicV3,
+		Epoch: 1,
+		Seq:   uint64(len(f.batch.Frames) + 1),
+		Meta:  p.Meta,
+		Full:  full,
+	})
 	return nil
 }
 
@@ -143,7 +153,7 @@ func (f *Forwarder) Len() int { return len(f.batch.Frames) }
 // Bytes serializes the batch for POST /cluster/ingest.
 func (f *Forwarder) Bytes() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := profdb.WriteBatch(gob.NewEncoder(&buf), f.batch); err != nil {
+	if err := profdb.WriteBatch(gob.NewEncoder(&buf), &f.batch); err != nil {
 		return nil, fmt.Errorf("cluster: encode forward: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -153,7 +163,7 @@ func (f *Forwarder) Bytes() ([]byte, error) {
 func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
 	fw := NewForwarder()
 	for _, p := range profs {
-		if err := fw.Add(p); err != nil {
+		if err := fw.Add(p, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -162,8 +172,11 @@ func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
 
 // ApplyForward ingests a forwarded batch stream: gob-framed StreamBatches
 // of full frames, applied through the store's prepared-batch path (one
-// shard-lock acquisition per shard per batch). Delta frames are rejected —
-// forwards are stateless by design.
+// shard-lock acquisition per shard per batch). Each frame's Full bytes are
+// decoded once and, being what was validated, logged as this node's WAL
+// payload. Delta frames are rejected — forwards are stateless by design.
+// Errors matching profdb.ErrCorrupt or ErrTooLarge are the sender's fault;
+// anything else is this node failing to store.
 func ApplyForward(store *profstore.Store, r io.Reader, maxBytes int64) (IngestSummary, error) {
 	var sum IngestSummary
 	dec := gob.NewDecoder(r)
@@ -179,26 +192,32 @@ func ApplyForward(store *profstore.Store, r io.Reader, maxBytes int64) (IngestSu
 		if batch.Close {
 			return sum, nil
 		}
-		var profs []*profiler.Profile
+		prep := make([]profstore.PreparedProfile, 0, len(batch.Frames))
+		series := make([]string, 0, len(batch.Frames))
 		for i := range batch.Frames {
 			f := &batch.Frames[i]
 			if f.Delta {
-				return sum, fmt.Errorf("cluster: forward batch carries a delta frame (seq %d)", f.Seq)
+				return sum, fmt.Errorf("cluster: forward batch carries a delta frame (seq %d): %w", f.Seq, profdb.ErrCorrupt)
 			}
-			p, err := profdb.LoadLimit(bytes.NewReader(f.Full), maxBytes)
+			entries, err := profdb.DecodeBundleLimit(f.Full, maxBytes)
 			if err != nil {
 				return sum, fmt.Errorf("cluster: forward frame decode: %w", err)
 			}
-			profs = append(profs, p)
+			pp, err := store.Prepare(entries[0].Profile, entries[0].Encoded())
+			if err != nil {
+				return sum, fmt.Errorf("cluster: forward ingest: %w", err)
+			}
+			prep = append(prep, pp)
+			series = append(series, profstore.LabelsOf(entries[0].Profile.Meta).Key())
 		}
-		starts, err := store.IngestBatch(profs)
+		starts, err := store.IngestPrepared(prep)
 		if err != nil {
 			return sum, fmt.Errorf("cluster: forward ingest: %w", err)
 		}
-		for i, p := range profs {
-			sum.Ingested++
-			sum.Series = append(sum.Series, profstore.LabelsOf(p.Meta).Key())
-			if ws := starts[i].Format(time.RFC3339Nano); !seenWin[ws] {
+		sum.Ingested += len(prep)
+		sum.Series = append(sum.Series, series...)
+		for _, start := range starts {
+			if ws := start.Format(time.RFC3339Nano); !seenWin[ws] {
 				seenWin[ws] = true
 				sum.Windows = append(sum.Windows, ws)
 			}

@@ -1,17 +1,19 @@
-// Profdb format version 3: streaming delta frames. Where v1/v2 serialize a
-// whole profile, a v3 stream frame carries either a full v2 payload (the
-// resync path) or only the subtrees whose metrics changed since the last
+// Profdb format version 3: streaming delta frames. Where a database
+// serializes whole profiles, a v3 stream frame carries either a full
+// single-profile database (the resync path) or only the subtrees whose metrics changed since the last
 // acknowledged upload, addressed through a per-session exact-frame
 // dictionary (cct.ExactInterner) so frame strings cross the wire once per
 // session. Deltas are guarded both ways: a frame names the checksum of the
 // base it was computed against (a desynced receiver fails with ErrStaleBase
 // instead of silently diverging) and the checksum the materialized result
-// must reach (a bad apply is detected, not ingested). v1/v2 load paths are
-// untouched; a v3-incapable path simply keeps POSTing full bundles.
+// must reach (a bad apply is detected, not ingested). The batch framing
+// around the frames is still gob: a session amortizes the type descriptors
+// over its connection, and a frame's bulk is either the opaque Full bytes
+// or a few sparse entries. A v3-incapable path simply keeps POSTing full
+// bundles.
 package profdb
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -44,7 +46,7 @@ type StreamBatch struct {
 	Close bool
 }
 
-// StreamFrame is one profile upload within a session: a full v2 payload
+// StreamFrame is one profile upload within a session: a full database
 // (Delta false) or a delta against the last acknowledged profile of the
 // same series (Delta true).
 type StreamFrame struct {
@@ -59,7 +61,7 @@ type StreamFrame struct {
 	// replace the materialized profile's metadata with it).
 	Meta profiler.Meta
 
-	// Full is a v2-encoded bundle payload; set iff Delta is false.
+	// Full is a single-profile database (see Save); set iff Delta is false.
 	Full []byte
 
 	// Delta payload. BaseSum is the checksum of the profile this delta was
@@ -217,8 +219,8 @@ func (e *DeltaEncoder) DictLen() int { return e.dict.Len() }
 
 // EncodeFull builds a full (initial or resync) frame for p.
 func (e *DeltaEncoder) EncodeFull(p *profiler.Profile, epoch, seq uint64) (StreamFrame, error) {
-	var buf bytes.Buffer
-	if err := Save(&buf, p); err != nil {
+	full, err := EncodeBundle([]Entry{{Profile: p}})
+	if err != nil {
 		return StreamFrame{}, err
 	}
 	return StreamFrame{
@@ -226,7 +228,7 @@ func (e *DeltaEncoder) EncodeFull(p *profiler.Profile, epoch, seq uint64) (Strea
 		Epoch: epoch,
 		Seq:   seq,
 		Meta:  p.Meta,
-		Full:  buf.Bytes(),
+		Full:  full,
 	}, nil
 }
 
@@ -457,7 +459,7 @@ func (d *DeltaDecoder) AddFrames(f *StreamFrame) error {
 }
 
 // Apply materializes one stream frame. For a full frame it decodes the
-// embedded v2 payload and resets the cursor under the frame's epoch. For a
+// embedded database and resets the cursor under the frame's epoch. For a
 // delta frame it verifies position (epoch, sequence) and base checksum —
 // failing with ErrStaleBase before touching the cursor — then mutates
 // cur.Base in place into the new profile and verifies it reaches CurSum.
@@ -469,10 +471,11 @@ func (d *DeltaDecoder) Apply(cur *SeriesCursor, f *StreamFrame) (*profiler.Profi
 		return nil, fmt.Errorf("profdb: bad stream magic %q: %w", f.Magic, ErrCorrupt)
 	}
 	if !f.Delta {
-		p, err := LoadLimit(bytes.NewReader(f.Full), d.MaxBytes)
+		entries, err := DecodeBundleLimit(f.Full, d.MaxBytes)
 		if err != nil {
 			return nil, err
 		}
+		p := entries[0].Profile
 		cur.Base, cur.Sum, cur.Epoch, cur.Seq = p, Checksum(p), f.Epoch, f.Seq
 		return p, nil
 	}

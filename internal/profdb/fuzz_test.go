@@ -5,12 +5,16 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"deepcontext/internal/cct"
 )
 
-// fuzzSeeds builds the seed corpus from golden serializations: a v2 single
-// profile, a v2 multi-profile bundle, a legacy v1 file, plus the malformed
+// fuzzSeeds builds the seed corpus from golden serializations: a single
+// profile, a multi-profile bundle, the legacy gob v2 fixture, plus the malformed
 // shapes a hostile /ingest body would take (truncation, wrong magic).
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
@@ -25,14 +29,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	ff := flatten("", sampleProfile())
-	if err := gob.NewEncoder(&v1).Encode(&legacyV1Format{
-		Magic:   FormatMagicV1,
-		Meta:    ff.Meta,
-		Metrics: ff.Metrics,
-		Nodes:   ff.Nodes,
-	}); err != nil {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-v2.dcp"))
+	if err != nil {
 		tb.Fatal(err)
 	}
 	var wrongMagic bytes.Buffer
@@ -43,7 +41,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return [][]byte{
 		single.Bytes(),
 		bundle.Bytes(),
-		v1.Bytes(),
+		legacy,
 		wrongMagic.Bytes(),
 		truncated,
 		[]byte("not a profile at all"),
@@ -138,11 +136,10 @@ func TestLoadLimitMaxInt64(t *testing.T) {
 }
 
 func TestLoadInvalidParentIsCorrupt(t *testing.T) {
-	ff := flatten("", sampleProfile())
-	// Forward-reference the parent of node 1.
-	ff.Nodes[1].Parent = len(ff.Nodes) + 7
+	// A legacy bundle whose node 1 forward-references its parent.
+	ff := fileFormat{Nodes: []flatNode{{Parent: -1}, {ID: 1, Parent: 9, Frame: cct.OperatorFrame("aten::conv2d")}}}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&bundleFormat{Magic: FormatMagic, Profiles: []fileFormat{ff}}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&bundleFormat{Magic: formatMagicV2, Profiles: []fileFormat{ff}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf); !errors.Is(err, ErrCorrupt) {

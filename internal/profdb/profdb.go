@@ -1,18 +1,21 @@
 // Package profdb serializes DeepContext profiles: a compact binary database
-// (gob-encoded flattened CCT) for storage and a JSON export for external
-// tooling and the GUI. Because the profiler aggregates online, the database
-// is proportional to distinct calling contexts, not to run length — the
+// (the flattened CCT) for storage and a JSON export for external tooling and
+// the GUI. Because the profiler aggregates online, the database is
+// proportional to distinct calling contexts, not to run length — the
 // property behind the paper's disk/memory savings versus trace files.
 //
-// The on-disk format is versioned. Version 2 is a multi-profile bundle: one
-// file holds any number of named profiles (per-shard results of a batch run,
-// a before/after pair, or a single profile, the common case). Version 1
-// single-profile files are still read transparently.
+// The format is versioned by its leading magic. Version 4 (v4.go) is the
+// only one written: a hand-rolled, length-prefixed multi-profile container
+// holding any number of named profiles (per-shard results of a batch run, a
+// before/after pair, or a single profile, the common case). Version 3
+// (delta.go) frames streaming sessions. Version 2, the gob encoding older
+// binaries wrote, is still read (legacy.go) so existing files, WAL segments
+// and snapshots keep loading; version 1 is no longer understood.
 package profdb
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,19 +24,12 @@ import (
 	"os"
 
 	"deepcontext/internal/cct"
-	"deepcontext/internal/dlmonitor"
-	"deepcontext/internal/framework"
 	"deepcontext/internal/profiler"
 )
 
-// Format magics; the trailing number is the format version.
-const (
-	// FormatMagic identifies the current (bundle) database format.
-	FormatMagic = "DEEPCONTEXT-PROFDB-2"
-	// FormatMagicV1 identifies the legacy single-profile format, which
-	// Load still accepts.
-	FormatMagicV1 = "DEEPCONTEXT-PROFDB-1"
-)
+// FormatMagic identifies the current database format; the trailing number
+// is the format version.
+const FormatMagic = "DEEPCONTEXT-PROFDB-4"
 
 // DefaultMaxBytes caps how much Load/LoadBundle will read (256 MiB). A
 // malformed or hostile input — an HTTP ingest body, a truncated upload —
@@ -46,119 +42,49 @@ var (
 	// ErrTooLarge reports an input exceeding the size limit.
 	ErrTooLarge = errors.New("profdb: input exceeds size limit")
 	// ErrCorrupt reports an undecodable or structurally invalid database
-	// (bad magic, truncated gob stream, dangling parent references).
+	// (bad magic, truncation, hostile counts, dangling parent references).
 	ErrCorrupt = errors.New("profdb: corrupt database")
 )
-
-type flatNode struct {
-	ID     int
-	Parent int
-	Frame  cct.Frame
-	Excl   []cct.Metric
-	Incl   []cct.Metric
-}
-
-// fileFormat is one serialized profile. It is both the v1 top-level value
-// and the per-profile record of a v2 bundle (Name is empty in v1 files).
-type fileFormat struct {
-	Magic          string
-	Name           string
-	Meta           profiler.Meta
-	Stats          profiler.Stats
-	MonitorStats   dlmonitor.Stats
-	Metrics        []string
-	Nodes          []flatNode
-	Fused          map[string][]framework.FusedOrigin
-	FootprintBytes int64
-}
-
-// bundleFormat is the v2 top-level value: a named multi-profile container.
-type bundleFormat struct {
-	Magic    string
-	Profiles []fileFormat
-}
 
 // Entry is one named profile of a bundle. Name may be empty for
 // single-profile files; the batch runner uses "workload/vendor/framework".
 type Entry struct {
 	Name    string
 	Profile *profiler.Profile
+
+	// record is the validated v4 record the entry was decoded from and body
+	// the whole database when that record was its only one; both are nil
+	// for entries built by hand or read from a legacy file.
+	record, body []byte
 }
 
-func flatten(name string, p *profiler.Profile) fileFormat {
-	ff := fileFormat{
-		Name:           name,
-		Meta:           p.Meta,
-		Stats:          p.Stats,
-		MonitorStats:   p.MonitorStats,
-		Metrics:        p.Tree.Schema.Names(),
-		Fused:          p.Fused,
-		FootprintBytes: p.FootprintBytes,
+// Encoded returns the entry as a standalone single-profile v4 database made
+// of the very bytes it was decoded from — the received body itself when it
+// held just this profile, otherwise a fresh header in front of the entry's
+// record — so a server can log or forward what it validated instead of
+// encoding the profile again. It returns nil for an entry that was not
+// decoded from v4 bytes. The result aliases the decoder's input.
+func (e Entry) Encoded() []byte {
+	if e.body != nil || e.record == nil {
+		return e.body
 	}
-	ids := make(map[*cct.Node]int)
-	p.Tree.Visit(func(n *cct.Node) {
-		id := len(ff.Nodes)
-		ids[n] = id
-		parent := -1
-		if n.Parent != nil {
-			parent = ids[n.Parent]
-		}
-		ff.Nodes = append(ff.Nodes, flatNode{
-			ID:     id,
-			Parent: parent,
-			Frame:  n.Frame,
-			Excl:   n.Excl,
-			Incl:   n.Incl,
-		})
-	})
-	return ff
+	b := make([]byte, 0, len(FormatMagic)+2*binary.MaxVarintLen32+len(e.record))
+	b = binary.AppendUvarint(appendHeader(b, 1), uint64(len(e.record)))
+	return append(b, e.record...)
 }
 
-func unflatten(ff *fileFormat) (*profiler.Profile, error) {
-	tree := cct.New()
-	for _, name := range ff.Metrics {
-		tree.Schema.ID(name)
-	}
-	nodes := make([]*cct.Node, len(ff.Nodes))
-	for i, fn := range ff.Nodes {
-		if fn.Parent < 0 {
-			nodes[i] = tree.Root
-		} else {
-			if fn.Parent >= i || nodes[fn.Parent] == nil {
-				return nil, fmt.Errorf("profdb: node %d has invalid parent %d: %w", i, fn.Parent, ErrCorrupt)
-			}
-			nodes[i] = tree.InsertUnder(nodes[fn.Parent], []cct.Frame{fn.Frame})
-		}
-		nodes[i].Excl = fn.Excl
-		nodes[i].Incl = fn.Incl
-	}
-	return &profiler.Profile{
-		Tree:           tree,
-		Meta:           ff.Meta,
-		Stats:          ff.Stats,
-		MonitorStats:   ff.MonitorStats,
-		Fused:          ff.Fused,
-		FootprintBytes: ff.FootprintBytes,
-	}, nil
-}
-
-// SaveBundle writes the named profiles to w as one v2 database.
+// SaveBundle writes the named profiles to w as one database.
 func SaveBundle(w io.Writer, entries []Entry) error {
-	if len(entries) == 0 {
-		return fmt.Errorf("profdb: empty bundle")
+	b, err := EncodeBundle(entries)
+	if err != nil {
+		return err
 	}
-	bf := bundleFormat{Magic: FormatMagic}
-	for _, e := range entries {
-		if e.Profile == nil {
-			return fmt.Errorf("profdb: nil profile in bundle entry %q", e.Name)
-		}
-		bf.Profiles = append(bf.Profiles, flatten(e.Name, e.Profile))
-	}
-	return gob.NewEncoder(w).Encode(&bf)
+	_, err = w.Write(b)
+	return err
 }
 
 // LoadBundle reads every profile of a database, refusing inputs larger than
-// DefaultMaxBytes. Legacy v1 files load as a single-entry bundle.
+// DefaultMaxBytes.
 func LoadBundle(r io.Reader) ([]Entry, error) {
 	return LoadBundleLimit(r, DefaultMaxBytes)
 }
@@ -177,47 +103,47 @@ func LoadBundleLimit(r io.Reader, maxBytes int64) ([]Entry, error) {
 	if limit < math.MaxInt64 {
 		limit++
 	}
-	raw, err := io.ReadAll(io.LimitReader(r, limit))
-	if err != nil {
+	// A reader that knows its length (bytes.Reader, bytes.Buffer, ...) gets
+	// one exact allocation; the slack lets ReadFrom see EOF without growing.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(int(min(int64(l.Len()), limit)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(r, limit)); err != nil {
 		return nil, fmt.Errorf("profdb: read: %w", err)
 	}
-	if int64(len(raw)) > maxBytes {
+	return DecodeBundleLimit(buf.Bytes(), maxBytes)
+}
+
+// DecodeBundleLimit is DecodeBundle behind the same size cap as
+// LoadBundleLimit, for payloads that arrive inside another message.
+func DecodeBundleLimit(data []byte, maxBytes int64) ([]Entry, error) {
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxBytes
+	}
+	if int64(len(data)) > maxBytes {
 		return nil, fmt.Errorf("profdb: input larger than %d bytes: %w", maxBytes, ErrTooLarge)
 	}
-	// gob matches struct fields by name, so a v1 fileFormat payload decodes
-	// into bundleFormat with Magic set and Profiles empty — the magic then
-	// dispatches to the right shape.
-	var bf bundleFormat
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&bf); err != nil {
-		return nil, fmt.Errorf("profdb: decode: %v: %w", err, ErrCorrupt)
+	return DecodeBundle(data)
+}
+
+// DecodeBundle decodes every profile of a database already in memory,
+// dispatching on its magic: v4, or the legacy gob v2 encoding. Failures
+// match ErrCorrupt. The returned entries alias data (see Entry.Encoded).
+func DecodeBundle(data []byte) ([]Entry, error) {
+	if bytes.HasPrefix(data, []byte(FormatMagic)) {
+		return decodeV4(data)
 	}
-	switch bf.Magic {
-	case FormatMagic:
-		if len(bf.Profiles) == 0 {
-			return nil, fmt.Errorf("profdb: bundle has no profiles: %w", ErrCorrupt)
-		}
-		out := make([]Entry, 0, len(bf.Profiles))
-		for i := range bf.Profiles {
-			p, err := unflatten(&bf.Profiles[i])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Entry{Name: bf.Profiles[i].Name, Profile: p})
-		}
-		return out, nil
-	case FormatMagicV1:
-		var ff fileFormat
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&ff); err != nil {
-			return nil, fmt.Errorf("profdb: decode v1: %v: %w", err, ErrCorrupt)
-		}
-		p, err := unflatten(&ff)
-		if err != nil {
-			return nil, err
-		}
-		return []Entry{{Profile: p}}, nil
-	default:
-		return nil, fmt.Errorf("profdb: bad magic %q: %w", bf.Magic, ErrCorrupt)
+	return decodeLegacy(data)
+}
+
+// Decode returns the first profile of a database already in memory.
+func Decode(data []byte) (*profiler.Profile, error) {
+	entries, err := DecodeBundle(data)
+	if err != nil {
+		return nil, err
 	}
+	return entries[0].Profile, nil
 }
 
 // Save writes p to w as a single-profile database.
@@ -225,8 +151,8 @@ func Save(w io.Writer, p *profiler.Profile) error {
 	return SaveBundle(w, []Entry{{Profile: p}})
 }
 
-// Load reads the first profile of a database (v1 or v2), refusing inputs
-// larger than DefaultMaxBytes.
+// Load reads the first profile of a database, refusing inputs larger than
+// DefaultMaxBytes.
 func Load(r io.Reader) (*profiler.Profile, error) {
 	return LoadLimit(r, DefaultMaxBytes)
 }
@@ -268,26 +194,15 @@ func LoadFile(path string) (*profiler.Profile, error) {
 	return entries[0].Profile, nil
 }
 
-// fileLimit sizes the read cap for a local file: its actual size, floored
-// at DefaultMaxBytes. The DoS cap exists for network boundaries (servers
-// pass their own limit); databases already on disk — a large batch-matrix
-// aggregate, say — must keep loading in the offline tools.
-func fileLimit(f *os.File) int64 {
-	max := int64(DefaultMaxBytes)
-	if st, err := f.Stat(); err == nil && st.Size() > max {
-		max = st.Size()
-	}
-	return max
-}
-
-// LoadBundleFile reads every profile from path.
+// LoadBundleFile reads every profile from path. The size cap exists for
+// network boundaries (servers pass their own limit); a database already on
+// disk — a large batch-matrix aggregate, say — loads whatever its size.
 func LoadBundleFile(path string) ([]Entry, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return LoadBundleLimit(f, fileLimit(f))
+	return DecodeBundle(data)
 }
 
 // jsonNode is the nested JSON export shape.

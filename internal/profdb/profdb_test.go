@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,44 +177,66 @@ func TestSaveBundleRejectsEmptyAndNil(t *testing.T) {
 	}
 }
 
-// legacyV1Format mirrors the v1 on-disk struct (no Name field, profile at
-// the top level) to synthesize fixtures for backward-compatibility tests.
-type legacyV1Format struct {
-	Magic          string
-	Meta           profiler.Meta
-	Stats          profiler.Stats
-	Metrics        []string
-	Nodes          []flatNode
-	Fused          map[string][]framework.FusedOrigin
-	FootprintBytes int64
-}
-
-func TestLoadLegacyV1(t *testing.T) {
-	p := sampleProfile()
-	ff := flatten("", p)
-	legacy := legacyV1Format{
-		Magic:          FormatMagicV1,
-		Meta:           ff.Meta,
-		Stats:          ff.Stats,
-		Metrics:        ff.Metrics,
-		Nodes:          ff.Nodes,
-		Fused:          ff.Fused,
-		FootprintBytes: ff.FootprintBytes,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+// The committed fixture was written by the last release whose writer was
+// gob (profdb v2); it keeps the read-only legacy path honest now that no
+// code in the tree can produce such a file.
+func TestLoadLegacyV2Fixture(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-v2.dcp"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
+	entries, err := LoadBundle(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("v1 load: %v", err)
+		t.Fatalf("v2 load: %v", err)
 	}
-	if got.Meta != p.Meta || got.Tree.NodeCount() != p.Tree.NodeCount() {
-		t.Fatalf("v1 round trip: meta=%+v nodes=%d", got.Meta, got.Tree.NodeCount())
+	if len(entries) != 2 || entries[0].Name != "unet/nvidia/pytorch" || entries[1].Name != "dlrm/nvidia/pytorch" {
+		t.Fatalf("v2 entries = %+v", entries)
 	}
-	entries, err := LoadBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(entries) != 1 || entries[0].Name != "" {
-		t.Fatalf("v1 as bundle: %v, %d entries", err, len(entries))
+	want := sampleProfile()
+	for i, e := range entries {
+		if err := cct.Equivalent(want.Tree, e.Profile.Tree); err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		if Checksum(e.Profile) != Checksum(want) {
+			t.Fatalf("entry %d: checksum differs from the profile the fixture was written from", i)
+		}
+		if !reflect.DeepEqual(e.Profile.Fused, want.Fused) || e.Profile.FootprintBytes != want.FootprintBytes {
+			t.Fatalf("entry %d: fused/footprint lost: %+v", i, e.Profile)
+		}
+		if e.Encoded() != nil {
+			t.Fatalf("entry %d: a legacy entry has no v4 bytes to hand on", i)
+		}
+	}
+	if entries[0].Profile.Meta != want.Meta || entries[1].Profile.Meta.Workload != "dlrm" {
+		t.Fatalf("v2 meta = %+v / %+v", entries[0].Profile.Meta, entries[1].Profile.Meta)
+	}
+	// A legacy file re-saves as v4 and survives.
+	var buf bytes.Buffer
+	if err := SaveBundle(&buf, entries); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte(FormatMagic)) {
+		t.Fatal("re-save did not write v4")
+	}
+	again, err := LoadBundle(&buf)
+	if err != nil || len(again) != 2 || cct.Equivalent(want.Tree, again[1].Profile.Tree) != nil {
+		t.Fatalf("re-saved legacy bundle: %v, %d entries", err, len(again))
+	}
+}
+
+// Format version 1 is gone: such a file fails as corrupt, and the error
+// names the version so the operator knows what they are holding.
+func TestLoadV1IsRejectedByName(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&struct {
+		Magic string
+		Meta  profiler.Meta
+	}{Magic: "DEEPCONTEXT-PROFDB-1", Meta: sampleProfile().Meta}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 load: err = %v, want ErrCorrupt naming version 1", err)
 	}
 }
 

@@ -84,9 +84,10 @@ func (c *queryCache) serve(qkey, shape string, deps []dep) (any, bool) {
 	ent, ok := c.entries[qkey]
 	if ok && ent.shape == shape && depsEqual(ent.deps, deps) {
 		c.lru.MoveToFront(ent.elem)
+		value := ent.value // put rewrites a live entry's fields under mu
 		c.mu.Unlock()
 		c.hits.Inc()
-		return ent.value, true
+		return value, true
 	}
 	c.mu.Unlock()
 	if ok {

@@ -22,6 +22,14 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/queries.g
 // clock ends two windows past the last ingest.
 func goldenCorpus(t *testing.T, s *Store, clock *fakeClock) {
 	t.Helper()
+	goldenCorpusFrom(t, s, clock, 0)
+}
+
+// goldenCorpusFrom is goldenCorpus resumed after its first skip profiles:
+// the store already holds them (recovered from an older binary's data
+// directory), and the clock stands in the window the next one lands in.
+func goldenCorpusFrom(t *testing.T, s *Store, clock *fakeClock, skip int) {
+	t.Helper()
 	series := []struct {
 		workload, vendor, fw string
 	}{
@@ -30,6 +38,7 @@ func goldenCorpus(t *testing.T, s *Store, clock *fakeClock) {
 		{"DLRM", "Nvidia", "jax"},
 		{"Bert", "AMD", "jax"},
 	}
+	n := 0
 	for w := 0; w < 6; w++ {
 		for si, sp := range series {
 			// Not every series appears in every window, and PCs shift per
@@ -37,11 +46,16 @@ func goldenCorpus(t *testing.T, s *Store, clock *fakeClock) {
 			if (w+si)%4 == 3 {
 				continue
 			}
+			if n++; n <= skip {
+				continue
+			}
 			p := synthProfile(sp.workload, sp.vendor, sp.fw,
 				uint64(0x1000+w*512+si*64), float64(w+si%3+1))
 			mustIngest(t, s, p)
 		}
-		clock.Advance(time.Minute)
+		if n > skip {
+			clock.Advance(time.Minute)
+		}
 	}
 	clock.Advance(2 * time.Minute)
 	s.CompactNow()

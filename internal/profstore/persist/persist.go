@@ -10,7 +10,7 @@
 //	  wal/<windowStartUnixNano>.wal   one segment per fine window bucket
 //	  snap-<seq>/                     one complete snapshot
 //	    MANIFEST.json                 windows, checksums, WAL watermarks
-//	    fine-<start>.dcp              profdb v2 bundle, one entry per series
+//	    fine-<start>.dcp              profdb bundle, one entry per series
 //	    coarse-<start>.dcp
 //	  CURRENT                         name of the live snapshot directory
 //
@@ -41,7 +41,6 @@
 package persist
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,17 +52,13 @@ import (
 // EncodeProfile serializes p in the profdb single-profile encoding, the
 // payload format of both WAL records and snapshot bundle entries.
 func EncodeProfile(p *profiler.Profile) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := profdb.Save(&buf, p); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return profdb.EncodeBundle([]profdb.Entry{{Profile: p}})
 }
 
-// DecodeProfile reverses EncodeProfile through profdb's size-capped,
-// fuzz-hardened loader; failures match profdb.ErrCorrupt.
+// DecodeProfile reverses EncodeProfile through profdb's fuzz-hardened
+// decoder, straight from b; failures match profdb.ErrCorrupt.
 func DecodeProfile(b []byte) (*profiler.Profile, error) {
-	return profdb.LoadLimit(bytes.NewReader(b), int64(len(b)))
+	return profdb.Decode(b)
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed entry

@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -11,6 +9,7 @@ import (
 	"testing"
 
 	"deepcontext/internal/cct"
+	"deepcontext/internal/profdb"
 	"deepcontext/internal/profiler"
 )
 
@@ -138,11 +137,10 @@ func TestWALReplayCorruptionPolicy(t *testing.T) {
 	}
 
 	// The malformed-but-framed shapes FuzzLoad seeds profdb with: wrong
-	// magic, truncated gob, plain garbage. All must skip, not crash.
-	var wrongMagic bytes.Buffer
-	gob.NewEncoder(&wrongMagic).Encode(struct{ Magic string }{"DEEPCONTEXT-PROFDB-99"})
+	// magic, truncated record, plain garbage. All must skip, not crash.
 	valid := mustEncode(t, testProfile("UNet", 2))
-	for _, body := range [][]byte{wrongMagic.Bytes(), valid[:len(valid)/2], []byte("not a profile at all")} {
+	wrongMagic := append([]byte("DEEPCONTEXT-PROFDB-99"), valid[len(profdb.FormatMagic):]...)
+	for _, body := range [][]byte{wrongMagic, valid[:len(valid)/2], []byte("not a profile at all")} {
 		if _, err := w.Append(1000, 2, body); err != nil {
 			t.Fatal(err)
 		}

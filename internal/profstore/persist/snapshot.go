@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -93,8 +92,8 @@ type manifestSegment struct {
 }
 
 // Capture is an encoded snapshot not yet on disk. CaptureState runs under
-// the store's lock (pure CPU: gob encoding plus hashing); Commit does the
-// disk I/O afterwards, outside the lock.
+// the store's lock (pure CPU: profdb encoding plus hashing); Commit does
+// the disk I/O afterwards, outside the lock.
 type Capture struct {
 	man   manifest
 	files []capturedFile
@@ -120,7 +119,7 @@ func windowFileName(w *WindowState) string {
 	return fmt.Sprintf("%s-%d.dcp", kind, w.Start)
 }
 
-// CaptureState encodes st into an in-memory snapshot: one profdb v2 bundle
+// CaptureState encodes st into an in-memory snapshot: one profdb bundle
 // per window (entries named by series key, sorted for determinism) plus the
 // manifest with per-file SHA-256 checksums.
 func CaptureState(st *State) (*Capture, error) {
@@ -144,13 +143,13 @@ func CaptureState(st *State) (*Capture, error) {
 		if len(entries) == 0 {
 			continue // profstore never retains an empty window; don't persist one
 		}
-		var buf bytes.Buffer
-		if err := profdb.SaveBundle(&buf, entries); err != nil {
+		data, err := profdb.EncodeBundle(entries)
+		if err != nil {
 			return nil, fmt.Errorf("persist: encode window %d: %w", w.Start, err)
 		}
-		sum := sha256.Sum256(buf.Bytes())
+		sum := sha256.Sum256(data)
 		name := windowFileName(w)
-		c.files = append(c.files, capturedFile{name: name, data: buf.Bytes()})
+		c.files = append(c.files, capturedFile{name: name, data: data})
 		c.man.Windows = append(c.man.Windows, manifestWindow{
 			File: name, SHA256: hex.EncodeToString(sum[:]),
 			Start: w.Start, DurNS: w.DurNS, Coarse: w.Coarse, Series: counts,
@@ -352,7 +351,7 @@ func ReadSnapshot(dataDir string) (*State, error) {
 		if hex.EncodeToString(sum[:]) != mw.SHA256 {
 			return nil, fmt.Errorf("persist: snapshot %s: checksum mismatch on %s", name, mw.File)
 		}
-		entries, err := profdb.LoadBundleLimit(bytes.NewReader(data), int64(len(data)))
+		entries, err := profdb.DecodeBundle(data)
 		if err != nil {
 			return nil, fmt.Errorf("persist: snapshot %s: %s: %w", name, mw.File, err)
 		}

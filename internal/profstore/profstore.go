@@ -399,30 +399,24 @@ func CommittedShards(dir string) (int, bool) {
 // before the merge, under the same critical section, so log order equals
 // merge order and a replay reconstructs the exact tree. A WAL append
 // failure fails the ingest — an acknowledged profile must be durable.
-func (s *Store) Ingest(p *profiler.Profile) (time.Time, error) {
+//
+// A caller that decoded p from profdb bytes passes them as encoded (see
+// profdb.Entry.Encoded): they become the WAL payload as they are, so the
+// log holds exactly what was validated and the profile is not encoded a
+// second time. Without them the store encodes p itself.
+func (s *Store) Ingest(p *profiler.Profile, encoded ...[]byte) (time.Time, error) {
 	var t0 time.Time
 	if s.met.timings {
 		t0 = time.Now()
 	}
-	if p == nil || p.Tree == nil {
-		return time.Time{}, fmt.Errorf("profstore: nil profile")
-	}
-	labels := LabelsOf(p.Meta)
 	// Serialization for the WAL and normalization both walk the whole
 	// tree — do them outside the lock so concurrent ingests only
 	// serialize on the (cheaper) merge and the log write.
-	var payload []byte
-	if s.cfg.Dir != "" {
-		if err := s.ensureMeta(); err != nil {
-			return time.Time{}, err
-		}
-		var err error
-		if payload, err = persist.EncodeProfile(p); err != nil {
-			return time.Time{}, fmt.Errorf("profstore: encode for wal: %w", err)
-		}
+	pp, err := s.Prepare(p, encoded...)
+	if err != nil {
+		return time.Time{}, err
 	}
-	normalized := cct.NormalizeAddresses(p.Tree)
-	start, err := s.shardFor(labels.Key()).ingest(labels, normalized, payload)
+	start, err := s.shardFor(pp.labels.Key()).ingest(pp.labels, pp.normalized, pp.payload)
 	if err == nil && s.met.timings {
 		s.met.ingestSeconds.Observe(time.Since(t0))
 	}
@@ -443,12 +437,12 @@ type PreparedProfile struct {
 // store) — what one full upload of this profile costs on the wire.
 func (pp *PreparedProfile) PayloadBytes() int { return len(pp.payload) }
 
-// Prepare runs the lock-free half of Ingest — WAL encoding and address
-// normalization, both full-tree walks — and returns an entry for
-// IngestPrepared. The streaming ingest session prepares each materialized
-// profile as it is decoded, then applies whole batches under one shard
-// lock acquisition.
-func (s *Store) Prepare(p *profiler.Profile) (PreparedProfile, error) {
+// Prepare runs the lock-free half of Ingest — the WAL payload and address
+// normalization, both full-tree walks unless the payload arrives ready —
+// and returns an entry for IngestPrepared. The streaming ingest session
+// prepares each materialized profile as it is decoded, then applies whole
+// batches under one shard lock acquisition. encoded is as for Ingest.
+func (s *Store) Prepare(p *profiler.Profile, encoded ...[]byte) (PreparedProfile, error) {
 	if p == nil || p.Tree == nil {
 		return PreparedProfile{}, fmt.Errorf("profstore: nil profile")
 	}
@@ -457,9 +451,14 @@ func (s *Store) Prepare(p *profiler.Profile) (PreparedProfile, error) {
 		if err := s.ensureMeta(); err != nil {
 			return PreparedProfile{}, err
 		}
-		var err error
-		if payload, err = persist.EncodeProfile(p); err != nil {
-			return PreparedProfile{}, fmt.Errorf("profstore: encode for wal: %w", err)
+		if len(encoded) > 0 {
+			payload = encoded[0]
+		}
+		if payload == nil {
+			var err error
+			if payload, err = persist.EncodeProfile(p); err != nil {
+				return PreparedProfile{}, fmt.Errorf("profstore: encode for wal: %w", err)
+			}
 		}
 	}
 	return PreparedProfile{
@@ -510,20 +509,6 @@ func (s *Store) IngestPrepared(batch []PreparedProfile) ([]time.Time, error) {
 		s.met.ingestSeconds.Observe(time.Since(t0))
 	}
 	return starts, nil
-}
-
-// IngestBatch prepares and ingests profiles as one batch; see
-// IngestPrepared. The profiles must be distinct objects — callers reusing
-// one evolving profile (the delta session) prepare each state eagerly.
-func (s *Store) IngestBatch(ps []*profiler.Profile) ([]time.Time, error) {
-	batch := make([]PreparedProfile, len(ps))
-	for i, p := range ps {
-		var err error
-		if batch[i], err = s.Prepare(p); err != nil {
-			return make([]time.Time, len(ps)), err
-		}
-	}
-	return s.IngestPrepared(batch)
 }
 
 // WindowInfo describes one retained bucket.
@@ -1123,9 +1108,10 @@ func (s *Store) Close() {
 
 // Snapshot writes an atomic compacted image of every shard's retained
 // windows under Config.Dir and prunes WAL segments the images fully cover.
-// Each shard's capture runs under its read lock (blocking that shard's
-// ingest, so window state and WAL watermarks form one consistent cut);
-// encoding and disk I/O happen per shard after release. Concurrent
+// Each shard's capture — reading the WAL watermarks and encoding every
+// retained tree — runs under its read lock, so window state and
+// watermarks form one consistent cut and that shard's ingest waits for the
+// whole encode; only the disk I/O happens after release. Concurrent
 // Snapshot calls serialize on snapMu.
 func (s *Store) Snapshot() (persist.Info, error) {
 	var total persist.Info

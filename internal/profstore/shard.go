@@ -420,9 +420,11 @@ func (sh *shard) pruneWALRangeLocked(lo, hi int64) {
 	}
 }
 
-// snapshot captures the shard's retained windows under its read lock and
-// commits them atomically to the shard directory, then prunes WAL segments
-// the image fully covers. compactions carries the store-wide compaction
+// snapshot captures the shard's retained windows under its read lock —
+// the capture includes encoding them, so ingest into this shard stalls for
+// as long as the encode takes — then, with the lock released, commits the
+// image atomically to the shard directory and prunes WAL segments it fully
+// covers. compactions carries the store-wide compaction
 // count (the store passes it on shard 0 only, so the directory-wide sum is
 // conserved across snapshot/recover cycles).
 func (sh *shard) snapshot(now time.Time, compactions int64) (persist.Info, error) {
