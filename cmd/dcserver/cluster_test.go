@@ -38,9 +38,9 @@ func labeledProfile(workload, vendor, framework string, scale float64) *profiler
 	return p
 }
 
-// tcNode is one cluster member under test. Unlike the loadgen harness it
-// keeps the coordinator and address around so a test can kill the HTTP
-// front end and later re-serve the same store at the same address.
+// tcNode is one cluster member under test. It keeps the coordinator and
+// address around so a test can kill the HTTP front end and later re-serve
+// the same store at the same address.
 type tcNode struct {
 	id    string
 	addr  string
@@ -124,6 +124,22 @@ func rawGet(t *testing.T, hc *http.Client, url string) (int, string) {
 		t.Fatalf("GET %s: read body: %v", url, err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// getJSON decodes one 200 response into v; any other status becomes an
+// error carrying the server's error message.
+func getJSON(httpc *http.Client, url string, v any) error {
+	resp, err := httpc.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var eb errorBody
+		json.NewDecoder(resp.Body).Decode(&eb)
+		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, eb.Error)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // equivalenceSeries spreads across all three ring owners of the test

@@ -1,6 +1,7 @@
 // Command dcserver is the continuous-profiling service: an HTTP frontend
 // over the internal/profstore rolling aggregator. Clients POST saved
-// profile databases (.dcp, single profiles or v2 bundles) to /ingest; the
+// profile databases (.dcp: single profiles or bundles, profdb v4 as written
+// by every current producer, gob v2 still accepted) to /ingest; the
 // server merges them into time-bucketed windows keyed by
 // workload/vendor/framework and serves hotspot, diff, flame-graph and
 // analyzer queries over any window range.
@@ -58,11 +59,8 @@
 //	deepcontext -workload UNet -o unet.dcp && curl --data-binary @unet.dcp http://localhost:7070/ingest
 //	curl 'http://localhost:7070/hotspots?metric=gpu_time_ns&top=10'
 //
-//	dcserver -loadgen -clients 8 -loads UNet,DLRM-small,Resnet   # ingest demo
-//	dcserver -loadgen -mixed -clients 4 -readers 8 -duration 5s  # read/write bench
-//	dcserver -loadgen -fleet -series 500 -duration 5s            # /topk + /search bench
-//	dcserver -loadgen -delta -clients 4 -rounds 20               # delta vs full ingest bench
-//	dcserver -loadgen -cluster -clients 4 -rounds 10             # 3-node cluster vs single node
+// Load generation and performance measurement live in cmd/dcbench, which
+// drives this binary as separate processes (see docs/PERFORMANCE.md).
 //
 // Long-lived profiling agents should prefer POST /stream: after one full
 // upload per series, each round ships only the changed subtrees (profdb
@@ -76,8 +74,7 @@
 //
 // Fleet-wide queries (/topk ranks frames across every matching series,
 // /search finds the series containing a frame) are served from per-window
-// aggregates and an inverted frame index maintained when windows close;
-// -no-index disables the fast path without changing any result.
+// aggregates and an inverted frame index maintained when windows close.
 //
 // The store is lock-striped (-store-shards; the default adopts the data
 // dir's committed count, GOMAXPROCS for fresh dirs) so ingest of disjoint
@@ -145,31 +142,13 @@ func main() {
 		webhookURL      = flag.String("webhook-url", "", "POST newly confirmed /regressions findings to this URL")
 		webhookInterval = flag.Duration("webhook-interval", 30*time.Second, "webhook poll interval")
 
-		loadgen    = flag.Bool("loadgen", false, "run the multi-client ingest demo instead of serving")
-		clusterGen = flag.Bool("cluster", false, "loadgen: cluster ingest-router benchmark — 3 in-process nodes behind a router vs a single node (RESULT qps line)")
-		mixed      = flag.Bool("mixed", false, "loadgen: mixed read/write mode — readers hammer queries while writers ingest")
-		delta      = flag.Bool("delta", false, "loadgen: delta-streaming bench — clients drive /stream sessions and a full-upload control group, reporting bytes/ingest for both")
-		fleet      = flag.Bool("fleet", false, "loadgen: fleet-query benchmark — many series, readers hammer /topk and /search (RESULT qps line)")
-		series     = flag.Int("series", 200, "loadgen -fleet: distinct label series to seed")
-		clients    = flag.Int("clients", 8, "loadgen: concurrent clients")
-		readers    = flag.Int("readers", 0, "loadgen -mixed: concurrent query clients (0 = 2x -clients)")
-		duration   = flag.Duration("duration", 5*time.Second, "loadgen -mixed: wall time to sustain the mixed load")
-		loads      = flag.String("loads", "UNet,DLRM-small,Resnet", "loadgen: comma-separated workloads")
-		iters      = flag.Int("iters", 10, "loadgen: iterations per profiled run")
-		rounds     = flag.Int("rounds", 2, "loadgen: ingest rounds (each lands in its own window)")
-
 		nodeID  = flag.String("node-id", "", "this node's cluster ID (enables cluster mode with -peers or a committed CLUSTER.json)")
 		peers   = flag.String("peers", "", "cluster membership as id=addr,id=addr,... including this node; a CLUSTER.json committed in -data-dir takes precedence")
-		noIndex = flag.Bool("no-index", false, "disable the fleet-query frame index (TopK/Search fall back to folding trees; results are identical)")
 		noDelta = flag.Bool("no-delta", false, "refuse POST /stream delta sessions with 503 (kill switch; clients fall back to full /ingest uploads)")
 
 		noTelemetry = flag.Bool("no-telemetry", false, "disable latency timings and the event journal (counters and /metrics stay on)")
 		slowRequest = flag.Duration("slow-request", defaultSlowRequest, "journal requests taking at least this long (0 disables)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-
-		injectFactor = flag.Float64("inject-regression", 0, "loadgen: multiply one kernel's cost by this factor mid-run, then assert /regressions flags exactly that kernel (0 disables)")
-		injectKernel = flag.String("inject-kernel", "", "loadgen -inject-regression: kernel label to inflate (empty = the run's top kernel)")
-		injectRound  = flag.Int("inject-round", 0, "loadgen -inject-regression: first inflated round (0 = rounds/2)")
 	)
 	flag.Parse()
 
@@ -199,36 +178,7 @@ func main() {
 			Band:     *trendBand,
 			K:        *trendK,
 		},
-		IndexDisabled:   *noIndex,
 		TimingsDisabled: *noTelemetry,
-	}
-	if *loadgen {
-		// The demo must never seed a real data directory: a later
-		// production boot would recover its synthetic profiles as fleet
-		// data.
-		if cfg.Dir != "" {
-			fmt.Fprintln(os.Stderr, "dcserver: -loadgen ignores -data-dir (demo data is not persisted)")
-			cfg.Dir = ""
-		}
-		var err error
-		switch {
-		case *clusterGen:
-			err = runLoadgenCluster(cfg, *clients, *loads, *iters, *rounds, *maxBody)
-		case *delta:
-			err = runLoadgenDelta(cfg, *clients, *loads, *iters, *rounds, *maxBody)
-		case *fleet:
-			err = runLoadgenFleet(cfg, *series, *readers, *loads, *iters, *duration, *maxBody)
-		case *mixed:
-			err = runLoadgenMixed(cfg, *clients, *readers, *loads, *iters, *rounds, *duration, *maxBody)
-		default:
-			inject := injectOptions{Factor: *injectFactor, Kernel: *injectKernel, Round: *injectRound}
-			err = runLoadgen(cfg, *clients, *loads, *iters, *rounds, *maxBody, inject)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dcserver:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	store := profstore.New(cfg)

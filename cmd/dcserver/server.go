@@ -20,22 +20,17 @@ import (
 	"deepcontext/internal/profstore"
 )
 
-// newHandler wires the ingest/query API over one store. maxBody caps
-// POST /ingest and /stream bodies in bytes; requests taking slow or
-// longer land in the event journal (0 disables); noDelta is the kill
-// switch that refuses /stream sessions (clients fall back to full
+// newServerHandler wires the ingest/query API over one store and returns
+// the *server itself (for the shutdown write drain) beside the handler.
+// maxBody caps POST /ingest and /stream bodies in bytes; requests taking
+// slow or longer land in the event journal (0 disables); noDelta is the
+// kill switch that refuses /stream sessions (clients fall back to full
 // /ingest uploads). Every route is instrumented into the store's
-// telemetry registry, which /metrics and /debug/events expose.
-func newHandler(store *profstore.Store, maxBody int64, slow time.Duration, noDelta bool) http.Handler {
-	_, h := newServerHandler(store, nil, maxBody, slow, noDelta)
-	return h
-}
-
-// newServerHandler is newHandler plus the pieces main needs a handle on:
-// the *server itself (for the shutdown write drain) and, when coord is
-// non-nil, cluster mode — /ingest and /stream route each series to its
-// owning node, the query endpoints scatter-gather across the table, and
-// the /cluster/* control surface is registered.
+// telemetry registry, which /metrics and /debug/events expose. When
+// coord is non-nil the server runs in cluster mode — /ingest and /stream
+// route each series to its owning node, the query endpoints
+// scatter-gather across the table, and the /cluster/* control surface is
+// registered.
 func newServerHandler(store *profstore.Store, coord *cluster.Coordinator, maxBody int64, slow time.Duration, noDelta bool) (*server, http.Handler) {
 	s := &server{store: store, cluster: coord, maxBody: maxBody, noDelta: noDelta, started: time.Now()}
 	s.streams = newStreamRegistry(store.Telemetry())

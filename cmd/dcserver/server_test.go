@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"deepcontext"
 	"deepcontext/internal/cct"
 	"deepcontext/internal/profdb"
 	"deepcontext/internal/profiler"
@@ -53,6 +54,24 @@ func testProfile(workload string, scale float64) *profiler.Profile {
 	}
 }
 
+// realProfile runs the profiler on one workload cell — real collector
+// output, not a hand-built tree — with one shard so the result is
+// deterministic.
+func realProfile(t *testing.T, workload, vendor, framework string, iters int) *profiler.Profile {
+	t.Helper()
+	s, err := deepcontext.NewSession(deepcontext.Config{Vendor: vendor, Framework: framework, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunWorkload(workload, deepcontext.Knobs{}, iters); err != nil {
+		t.Fatal(err)
+	}
+	p := s.Stop()
+	p.Meta.Workload = workload
+	p.Meta.Iterations = iters
+	return p
+}
+
 func dcpBytes(t *testing.T, p *profiler.Profile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -60,6 +79,13 @@ func dcpBytes(t *testing.T, p *profiler.Profile) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// newHandler is the single-node handler the tests serve: no coordinator,
+// the server handle dropped.
+func newHandler(store *profstore.Store, maxBody int64, slow time.Duration, noDelta bool) http.Handler {
+	_, h := newServerHandler(store, nil, maxBody, slow, noDelta)
+	return h
 }
 
 func newTestServer(t *testing.T, clock *testClock, maxBody int64) (*httptest.Server, *profstore.Store) {

@@ -41,13 +41,9 @@ type streamClient struct {
 	epoch    uint64
 	batchSeq uint64
 
-	// Accounting for RESULT lines and gates.
-	sentBatches int64
+	// What the recovery tests assert on.
 	deltaFrames int64
-	fullFrames  int64
-	wireBytes   int64
 	resyncs     int64 // whole-session resets
-	nacks       int64 // per-series NACKs received
 }
 
 // newStreamClient opens a session against baseURL. idPrefix must be
@@ -132,7 +128,6 @@ func (c *streamClient) post(ps []*profiler.Profile, closeBatch bool) (sendResult
 				return sendResult{}, err
 			}
 			fr = ff
-			c.fullFrames++
 		}
 		b.Frames = append(b.Frames, fr)
 	}
@@ -141,9 +136,6 @@ func (c *streamClient) post(ps []*profiler.Profile, closeBatch bool) (sendResult
 	if err := profdb.WriteBatch(gob.NewEncoder(&buf), &b); err != nil {
 		return sendResult{}, err
 	}
-	c.sentBatches++
-	c.wireBytes += int64(buf.Len())
-
 	resp, err := c.httpc.Post(c.baseURL+"/stream?session="+c.id, "application/octet-stream", &buf)
 	if err != nil {
 		c.reset()
@@ -166,7 +158,6 @@ func (c *streamClient) post(ps []*profiler.Profile, closeBatch bool) (sendResult
 	res := sendResult{Nacked: make(map[string]bool)}
 	for _, n := range ack.Nacks {
 		res.Nacked[n.Series] = true
-		c.nacks++
 	}
 	// Advance the shadow state exactly as the server did: dictionary
 	// additions for every frame, apply only for the acknowledged ones.

@@ -26,8 +26,8 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
-// defaultSlowRequest is the slow-request journal threshold used when no
-// -slow-request flag is in play (tests, loadgen harnesses).
+// defaultSlowRequest is the slow-request journal threshold: the
+// -slow-request default, and what the tests serve with.
 const defaultSlowRequest = time.Second
 
 // Status classes recorded per endpoint. Everything the API can return is

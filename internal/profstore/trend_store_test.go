@@ -396,8 +396,8 @@ func TestTrendStatsRaceUnderIngest(t *testing.T) {
 
 	done := make(chan struct{})
 	// The clock runs outside the writer WaitGroup (a ticking goroutine
-	// blocked on wg.Wait deadlocks — see the loadgen postmortem in
-	// CHANGES.md); it just stops with done.
+	// that the writers' wg.Wait also waits on never returns); it just
+	// stops with done.
 	go func() {
 		for {
 			select {
