@@ -155,14 +155,32 @@ var equivalenceSeries = []struct{ w, v, f string }{
 }
 
 // equivalenceQueries is the query surface the byte-equivalence tests
-// compare, error responses included.
-var equivalenceQueries = []string{
-	"/hotspots?top=10",
-	"/hotspots?metric=bogus_metric&top=3",
-	"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=10",
-	"/topk?k=5",
-	"/search?frame=gemm&limit=10",
-	"/regressions?dir=both&limit=0",
+// compare, error responses included, each with the status every
+// deployment must answer it with. Together they reach every fold: range
+// trees (hotspots, flame, analyze), close-time aggregates (topk, search),
+// both diff resolutions, findings, and each ErrNoData/ErrUnknownMetric
+// path.
+var equivalenceQueries = []struct {
+	path string
+	code int
+}{
+	{"/hotspots?top=10", http.StatusOK},
+	{"/hotspots?metric=bogus_metric&top=3", http.StatusBadRequest},
+	{"/hotspots?from=2026-01-01T00:01:00Z&to=2026-01-01T00:03:00Z&top=5", http.StatusOK},
+	{"/hotspots?workload=nosuch", http.StatusNotFound},
+	{"/flame?format=folded", http.StatusOK},
+	{"/analyze", http.StatusOK},
+	{"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=10", http.StatusOK},
+	// No window contains the before instant.
+	{"/diff?before=2025-01-01T00:00:00Z&after=2026-01-01T00:02:00Z", http.StatusNotFound},
+	// Both windows exist but no series matches the filter.
+	{"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&workload=nosuch", http.StatusNotFound},
+	{"/topk?k=5", http.StatusOK},
+	{"/topk?k=5&workload=nosuch", http.StatusNotFound},
+	{"/topk?k=5&metric=bogus_metric", http.StatusBadRequest},
+	{"/search?frame=gemm&limit=10", http.StatusOK},
+	{"/search?frame=gemm&metric=bogus_metric", http.StatusBadRequest},
+	{"/regressions?dir=both&limit=0", http.StatusOK},
 }
 
 // ingestEquivalenceRounds drives the same deterministic ingest timeline
@@ -214,12 +232,12 @@ func TestClusterEquivalenceMatrix(t *testing.T) {
 		ingestEquivalenceRounds(t, hc, cl[0].url(), clock, 4)
 		out := map[string]answer{}
 		for _, q := range queries {
-			code, body := rawGet(t, hc, cl[0].url()+q)
-			out[q] = answer{code, body}
+			code, body := rawGet(t, hc, cl[0].url()+q.path)
+			out[q.path] = answer{code, body}
 			// A second hit must repeat the answer — with the cache on this
 			// is the cached path, with it off plain determinism.
-			if code2, body2 := rawGet(t, hc, cl[0].url()+q); code2 != code || body2 != body {
-				t.Errorf("%s: second fetch diverged from first (status %d vs %d)", q, code2, code)
+			if code2, body2 := rawGet(t, hc, cl[0].url()+q.path); code2 != code || body2 != body {
+				t.Errorf("%s: second fetch diverged from first (status %d vs %d)", q.path, code2, code)
 			}
 		}
 		return out
@@ -232,26 +250,19 @@ func TestClusterEquivalenceMatrix(t *testing.T) {
 				name := fmt.Sprintf("nodes=%d,shards=%d,cache=%d", nodes, shards, cache)
 				t.Run(name, func(t *testing.T) {
 					got := run(t, nodes, shards, cache)
+					for _, q := range queries {
+						if got[q.path].code != q.code {
+							t.Errorf("%s: status = %d, want %d: %s", q.path, got[q.path].code, q.code, got[q.path].body)
+						}
+					}
 					if golden == nil {
 						golden = got
-						for _, q := range queries {
-							if strings.Contains(q, "bogus") {
-								if got[q].code != http.StatusBadRequest {
-									t.Errorf("%s: status = %d, want 400", q, got[q].code)
-								}
-							} else if got[q].code != http.StatusOK {
-								t.Errorf("%s: status = %d, want 200: %s", q, got[q].code, got[q].body)
-							}
-						}
 						return
 					}
 					for _, q := range queries {
-						if got[q].code != golden[q].code {
-							t.Errorf("%s: status = %d, want %d", q, got[q].code, golden[q].code)
-						}
-						if got[q].body != golden[q].body {
+						if got[q.path].body != golden[q.path].body {
 							t.Errorf("%s: body diverged from single-node golden:\n got %s\nwant %s",
-								q, got[q].body, golden[q].body)
+								q.path, got[q.path].body, golden[q.path].body)
 						}
 					}
 				})

@@ -337,11 +337,11 @@ func TestReceivedBytesSurviveRecovery(t *testing.T) {
 				}
 			}
 			for _, q := range equivalenceQueries {
-				wantCode, want := rawGet(t, hc, cts.URL+q)
-				gotCode, got := rawGet(t, hc, revived[0].url()+q)
+				wantCode, want := rawGet(t, hc, cts.URL+q.path)
+				gotCode, got := rawGet(t, hc, revived[0].url()+q.path)
 				if gotCode != wantCode || got != want {
 					t.Errorf("%s: recovered deployment diverged from the Store.Ingest control (status %d vs %d):\n got %s\nwant %s",
-						q, gotCode, wantCode, got, want)
+						q.path, gotCode, wantCode, got, want)
 				}
 			}
 		})
