@@ -175,6 +175,8 @@ var equivalenceQueries = []struct {
 	{"/diff?before=2025-01-01T00:00:00Z&after=2026-01-01T00:02:00Z", http.StatusNotFound},
 	// Both windows exist but no series matches the filter.
 	{"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&workload=nosuch", http.StatusNotFound},
+	// Each side fails differently: the before side's error is reported.
+	{"/diff?before=2026-01-01T00:00:00Z&after=2030-01-01T00:00:00Z&workload=nosuch", http.StatusNotFound},
 	{"/topk?k=5", http.StatusOK},
 	{"/topk?k=5&workload=nosuch", http.StatusNotFound},
 	{"/topk?k=5&metric=bogus_metric", http.StatusBadRequest},

@@ -104,18 +104,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var rows []profstore.TopKRow
-	var info profstore.AggregateInfo
-	if s.cluster != nil {
-		// The coordinator's partials requests carry Sweep, so every node
-		// (this one included) closes due windows before answering.
-		rows, info, err = s.cluster.TopK(r.Context(), q.from, q.to, q.filter, q.metric, q.k)
-	} else {
-		// Sweep first so windows that closed since the last ingest are
-		// aggregated — the indexed fast path stays current on a quiet store.
-		s.store.TrendSweep()
-		rows, info, err = s.store.TopK(r.Context(), q.from, q.to, q.filter, q.metric, q.k)
-	}
+	rows, info, err := s.queries.TopK(r.Context(), q.from, q.to, q.filter, q.metric, q.k)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -139,14 +128,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var rows []profstore.SearchRow
-	var info profstore.AggregateInfo
-	if s.cluster != nil {
-		rows, info, err = s.cluster.Search(r.Context(), q.from, q.to, q.filter, q.frame, q.metric, q.limit)
-	} else {
-		s.store.TrendSweep()
-		rows, info, err = s.store.Search(r.Context(), q.from, q.to, q.filter, q.frame, q.metric, q.limit)
-	}
+	rows, info, err := s.queries.Search(r.Context(), q.from, q.to, q.filter, q.frame, q.metric, q.limit)
 	if err != nil {
 		writeQueryError(w, err)
 		return

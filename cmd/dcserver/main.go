@@ -39,16 +39,14 @@
 // endpoint, ingest/WAL/fsync/compaction/snapshot timings, cache and
 // index occupancy); structured lifecycle events (window closes,
 // compactions, snapshots, recoveries, slow requests) land in a bounded
-// in-memory journal served on /debug/events. Telemetry is on by default
-// and costs no allocations on the ingest path; -no-telemetry disables
-// the latency timings and journal (counters stay on — they back /stats).
-// -pprof-addr serves net/http/pprof on a second listener, kept off the
+// in-memory journal served on /debug/events. Telemetry is always on and
+// costs no allocations on the ingest path. -pprof-addr serves net/http/pprof on a second listener, kept off the
 // public API surface. See docs/OPERATIONS.md for the metric inventory
 // and alerting runbook.
 //
 // The store tracks every series' per-frame metric shares across closed
-// windows and flags sustained drifts (-trend-band, -trend-k; -no-trend
-// opts out). /regressions serves the confirmed change points with
+// windows and flags sustained drifts (-trend-metric, -trend-band,
+// -trend-k). /regressions serves the confirmed change points with
 // severity grades and signed-flame drill-down links; -webhook-url POSTs
 // newly confirmed findings to an external receiver — see
 // docs/OPERATIONS.md for the runbook.
@@ -79,9 +77,9 @@
 // The store is lock-striped (-store-shards; the default adopts the data
 // dir's committed count, GOMAXPROCS for fresh dirs) so ingest of disjoint
 // series never contends, and repeated queries are served from a
-// generation-stamped cache (-query-cache entries; 0 disables) that is
-// invalidated per (shard, window) on ingest, compaction and retention —
-// /stats reports shard count and cache hit/miss/invalidation counters.
+// generation-stamped cache (512 entries) that is invalidated per (shard,
+// window) on ingest, compaction and retention — /stats reports shard
+// count and cache hit/miss/invalidation counters.
 // Restarting with an explicit -store-shards (or over a pre-shard data
 // directory) migrates the directory in place during recovery, staged and
 // crash-safe.
@@ -120,6 +118,9 @@ import (
 
 const defaultMetric = cct.MetricGPUTime
 
+// queryCacheEntries bounds the store's query cache.
+const queryCacheEntries = 512
+
 func main() {
 	var (
 		addr            = flag.String("addr", ":7070", "listen address")
@@ -130,12 +131,10 @@ func main() {
 		compactEvery    = flag.Duration("compact-every", 0, "background compaction interval (0 = one window)")
 		maxBody         = flag.Int64("max-body", profdb.DefaultMaxBytes, "max /ingest body bytes")
 		storeShards     = flag.Int("store-shards", 0, "store lock-stripe count (0 = the data dir's committed count, else GOMAXPROCS; an explicit count migrates the dir)")
-		queryCache      = flag.Int("query-cache", 512, "query cache entries (0 = disabled)")
 
 		dataDir      = flag.String("data-dir", "", "durable store directory (empty = in-memory only)")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot interval with -data-dir (0 = shutdown snapshot only)")
 
-		noTrend         = flag.Bool("no-trend", false, "disable per-series trend tracking and /regressions")
 		trendMetric     = flag.String("trend-metric", "", "metric the trend detector tracks (default gpu_time_ns)")
 		trendBand       = flag.Float64("trend-band", 0, "share-deviation noise band for change points (0 = default 0.05)")
 		trendK          = flag.Int("trend-k", 0, "consecutive out-of-band windows that confirm a change point (0 = default 3)")
@@ -146,7 +145,6 @@ func main() {
 		peers   = flag.String("peers", "", "cluster membership as id=addr,id=addr,... including this node; a CLUSTER.json committed in -data-dir takes precedence")
 		noDelta = flag.Bool("no-delta", false, "refuse POST /stream delta sessions with 503 (kill switch; clients fall back to full /ingest uploads)")
 
-		noTelemetry = flag.Bool("no-telemetry", false, "disable latency timings and the event journal (counters and /metrics stay on)")
 		slowRequest = flag.Duration("slow-request", defaultSlowRequest, "journal requests taking at least this long (0 disables)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	)
@@ -170,15 +168,13 @@ func main() {
 		CoarseFactor:    *coarseFactor,
 		CoarseRetention: *coarseRetention,
 		Shards:          shards,
-		CacheSize:       *queryCache,
+		CacheSize:       queryCacheEntries,
 		Dir:             *dataDir,
 		Trend: trend.Config{
-			Disabled: *noTrend,
-			Metric:   *trendMetric,
-			Band:     *trendBand,
-			K:        *trendK,
+			Metric: *trendMetric,
+			Band:   *trendBand,
+			K:      *trendK,
 		},
-		TimingsDisabled: *noTelemetry,
 	}
 
 	store := profstore.New(cfg)
@@ -203,7 +199,7 @@ func main() {
 	}
 	store.StartCompactor(*compactEvery)
 	defer store.Close()
-	if *webhookURL != "" && !*noTrend {
+	if *webhookURL != "" {
 		n := startNotifier(store, *webhookURL, *webhookInterval)
 		defer n.Close()
 		fmt.Printf("dcserver: webhook notifier posting new regressions to %s every %v\n", *webhookURL, *webhookInterval)
@@ -260,18 +256,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dcserver:", err)
 		os.Exit(1)
 	}
-	slow := *slowRequest
-	if *noTelemetry {
-		slow = 0 // -no-telemetry silences the journal end to end
-	}
-	app, handler := newServerHandler(store, coord, *maxBody, slow, *noDelta)
+	app, handler := newServerHandler(store, coord, *maxBody, *slowRequest, *noDelta)
 	srv := newHTTPServer(*addr, handler)
 	fmt.Printf("dcserver: listening on %s (window %v, retention %d fine + %d coarse, %d shards, cache %d)\n",
 		ln.Addr(), store.Config().Window, store.Config().Retention, store.Config().CoarseRetention,
 		store.Config().Shards, store.Config().CacheSize)
-	if !*noTelemetry {
-		store.Telemetry().Journal().Record("server_start", ln.Addr().String())
-	}
+	store.Telemetry().Journal().Record("server_start", ln.Addr().String())
 	if *pprofAddr != "" {
 		pln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
@@ -303,9 +293,7 @@ func main() {
 	if !app.drain(10 * time.Second) {
 		fmt.Fprintln(os.Stderr, "dcserver: drain: in-flight writes still running; snapshotting anyway")
 	}
-	if !*noTelemetry {
-		store.Telemetry().Journal().Record("server_stop", ln.Addr().String())
-	}
+	store.Telemetry().Journal().Record("server_stop", ln.Addr().String())
 	if *dataDir != "" {
 		if info, err := store.Snapshot(); err != nil {
 			fmt.Fprintln(os.Stderr, "dcserver: shutdown snapshot:", err)

@@ -113,25 +113,12 @@ func (s *server) handleRegressions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var rows []regressionRow
-	var stats *profstore.TrendStats
-	var cov *profstore.Coverage
-	if s.cluster != nil {
-		// Every node sweeps and reports raw findings; the coordinator
-		// ownership-filters, merges in canonical order and applies the
-		// limit globally. Trend stats sum across nodes.
-		findings, st, coverage, err := s.cluster.Regressions(r.Context(), q)
-		if err != nil {
-			writeQueryError(w, err)
-			return
-		}
-		rows, stats, cov = regressionRows(findings), st, coverage
-	} else {
-		// Sweep first so windows that closed since the last ingest are
-		// observed — findings stay current even on a quiet store.
-		s.store.TrendSweep()
-		rows, stats = regressionRows(s.store.Regressions(q)), s.store.Stats().Trend
+	findings, stats, cov, err := s.queries.Regressions(r.Context(), q)
+	if err != nil {
+		writeQueryError(w, err)
+		return
 	}
+	rows := regressionRows(findings)
 	writeJSON(w, struct {
 		Count    int                   `json:"count"`
 		Trend    *profstore.TrendStats `json:"trend"`

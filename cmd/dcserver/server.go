@@ -18,6 +18,7 @@ import (
 	"deepcontext/internal/cluster"
 	"deepcontext/internal/profdb"
 	"deepcontext/internal/profstore"
+	"deepcontext/internal/profstore/trend"
 )
 
 // newServerHandler wires the ingest/query API over one store and returns
@@ -26,13 +27,19 @@ import (
 // slow or longer land in the event journal (0 disables); noDelta is the
 // kill switch that refuses /stream sessions (clients fall back to full
 // /ingest uploads). Every route is instrumented into the store's
-// telemetry registry, which /metrics and /debug/events expose. When
-// coord is non-nil the server runs in cluster mode — /ingest and /stream
-// route each series to its owning node, the query endpoints
-// scatter-gather across the table, and the /cluster/* control surface is
-// registered.
+// telemetry registry, which /metrics and /debug/events expose.
+//
+// The query endpoints answer from one backend chosen here, once: the
+// local store, or — when coord is non-nil — the scatter-gather
+// coordinator, which feeds the same folds and answers byte-identically.
+// Cluster mode also routes /ingest and /stream to each series' owning
+// node and registers the /cluster/* control surface.
 func newServerHandler(store *profstore.Store, coord *cluster.Coordinator, maxBody int64, slow time.Duration, noDelta bool) (*server, http.Handler) {
-	s := &server{store: store, cluster: coord, maxBody: maxBody, noDelta: noDelta, started: time.Now()}
+	var queries queryBackend = localQueries{store}
+	if coord != nil {
+		queries = coord
+	}
+	s := &server{store: store, cluster: coord, queries: queries, maxBody: maxBody, noDelta: noDelta, started: time.Now()}
 	s.streams = newStreamRegistry(store.Telemetry())
 	m := newServerMetrics(store.Telemetry(), slow)
 	mux := http.NewServeMux()
@@ -82,6 +89,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 type server struct {
 	store   *profstore.Store
 	cluster *cluster.Coordinator
+	queries queryBackend
 	maxBody int64
 	noDelta bool
 	streams *streamRegistry
@@ -391,32 +399,38 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// queryHotspots dispatches to the local store or, in cluster mode, the
-// scatter-gather coordinator. Healthy-cluster responses are
-// byte-identical to a single node holding the union of the data; with a
-// node down the result carries a coverage annotation instead.
-func (s *server) queryHotspots(ctx context.Context, from, to time.Time, filter profstore.Labels, metric string, top int) ([]profstore.Hotspot, profstore.AggregateInfo, error) {
-	if s.cluster != nil {
-		return s.cluster.Hotspots(ctx, from, to, filter, metric, top)
-	}
-	return s.store.Hotspots(ctx, from, to, filter, metric, top)
+// queryBackend answers the query endpoints. *cluster.Coordinator is the
+// cluster-mode backend; localQueries is the single-node one.
+type queryBackend interface {
+	Hotspots(ctx context.Context, from, to time.Time, filter profstore.Labels, metric string, top int) ([]profstore.Hotspot, profstore.AggregateInfo, error)
+	Diff(ctx context.Context, before, after time.Time, filter profstore.Labels, metric string, top int) (*profstore.DiffResult, error)
+	Aggregate(ctx context.Context, from, to time.Time, filter profstore.Labels) (*cct.Tree, profstore.AggregateInfo, error)
+	TopK(ctx context.Context, from, to time.Time, filter profstore.Labels, metric string, k int) ([]profstore.TopKRow, profstore.AggregateInfo, error)
+	Search(ctx context.Context, from, to time.Time, filter profstore.Labels, frame, metric string, limit int) ([]profstore.SearchRow, profstore.AggregateInfo, error)
+	Regressions(ctx context.Context, q profstore.RegressionQuery) ([]trend.Finding, *profstore.TrendStats, *profstore.Coverage, error)
 }
 
-// queryDiff is queryHotspots' /diff counterpart.
-func (s *server) queryDiff(ctx context.Context, before, after time.Time, filter profstore.Labels, metric string, top int) (*profstore.DiffResult, error) {
-	if s.cluster != nil {
-		return s.cluster.Diff(ctx, before, after, filter, metric, top)
-	}
-	return s.store.Diff(ctx, before, after, filter, metric, top)
+// localQueries is the single-node queryBackend: the store, sweeping before
+// the queries that read closed windows, as every node does when the
+// coordinator asks — so windows that closed since the last ingest are
+// aggregated, indexed and observed even on a quiet store.
+type localQueries struct{ *profstore.Store }
+
+func (l localQueries) TopK(ctx context.Context, from, to time.Time, filter profstore.Labels, metric string, k int) ([]profstore.TopKRow, profstore.AggregateInfo, error) {
+	l.TrendSweep()
+	return l.Store.TopK(ctx, from, to, filter, metric, k)
 }
 
-// queryAggregate is queryHotspots' counterpart for the aggregate-shaped
-// endpoints (/flame, /analyze).
-func (s *server) queryAggregate(ctx context.Context, from, to time.Time, filter profstore.Labels) (*cct.Tree, profstore.AggregateInfo, error) {
-	if s.cluster != nil {
-		return s.cluster.Aggregate(ctx, from, to, filter)
-	}
-	return s.store.Aggregate(ctx, from, to, filter)
+func (l localQueries) Search(ctx context.Context, from, to time.Time, filter profstore.Labels, frame, metric string, limit int) ([]profstore.SearchRow, profstore.AggregateInfo, error) {
+	l.TrendSweep()
+	return l.Store.Search(ctx, from, to, filter, frame, metric, limit)
+}
+
+// Regressions reports a single node's findings with its trend stats; the
+// coverage is always complete.
+func (l localQueries) Regressions(_ context.Context, q profstore.RegressionQuery) ([]trend.Finding, *profstore.TrendStats, *profstore.Coverage, error) {
+	l.TrendSweep()
+	return l.Store.Regressions(q), l.Stats().Trend, nil, nil
 }
 
 // GET /hotspots?metric=&top=&workload=&vendor=&framework=&from=&to=
@@ -427,7 +441,7 @@ func (s *server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	metric := r.URL.Query().Get("metric")
-	rows, info, err := s.queryHotspots(r.Context(), from, to, queryLabels(r), metric, queryInt(r, "top", 20))
+	rows, info, err := s.queries.Hotspots(r.Context(), from, to, queryLabels(r), metric, queryInt(r, "top", 20))
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -455,7 +469,7 @@ func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("diff needs before= and after= window times: %v", err))
 		return
 	}
-	res, err := s.queryDiff(r.Context(), before, after, queryLabels(r), q.Get("metric"), queryInt(r, "top", 20))
+	res, err := s.queries.Diff(r.Context(), before, after, queryLabels(r), q.Get("metric"), queryInt(r, "top", 20))
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -477,7 +491,7 @@ func (s *server) handleFlame(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("signed flame needs both before= and after="))
 			return
 		}
-		res, err := s.queryDiff(r.Context(), before, after, queryLabels(r), metric, 0)
+		res, err := s.queries.Diff(r.Context(), before, after, queryLabels(r), metric, 0)
 		if err != nil {
 			writeQueryError(w, err)
 			return
@@ -491,7 +505,7 @@ func (s *server) handleFlame(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		tree, info, err := s.queryAggregate(r.Context(), from, to, queryLabels(r))
+		tree, info, err := s.queries.Aggregate(r.Context(), from, to, queryLabels(r))
 		if err != nil {
 			writeQueryError(w, err)
 			return
@@ -533,7 +547,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tree, info, err := s.queryAggregate(r.Context(), from, to, queryLabels(r))
+	tree, info, err := s.queries.Aggregate(r.Context(), from, to, queryLabels(r))
 	if err != nil {
 		writeQueryError(w, err)
 		return

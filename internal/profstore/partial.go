@@ -1,12 +1,14 @@
 package profstore
 
-// Cluster partials: the export/fold layer under internal/cluster's
-// scatter-gather queries. Each node serializes its matched (bucket, series)
-// pairs — tree bytes for the aggregate-shaped queries, close-time aggregates
-// for the fleet queries — and the coordinator folds the union in the exact
-// (tier, bucket start, series key) order of the single-node fold, driving
-// the same unexported accumulators (rankHotspots, topkAcc, searchAcc,
-// buildDiffResult). A cluster of N therefore answers byte-identical to one
+// Cluster partials: the export side and the coordinator's entry points to
+// the query engine (fold.go). Each node exports its matched (bucket,
+// series) pairs from the store's canonical walk — tree bytes for the
+// aggregate-shaped queries, close-time aggregates for the fleet queries.
+// The coordinator sorts the union into canonical order, decodes each
+// partial as it is visited, and feeds the very fold a single node runs
+// over its live series: the exported Fold* functions are thin adapters
+// over foldTree, foldTopK, foldSearch and foldDiffSide, not a second
+// implementation. A cluster of N therefore answers byte-identical to one
 // node holding the same data, which the multi-node equivalence matrix pins.
 //
 // The same partial encoding doubles as the handoff payload: a node joining
@@ -121,83 +123,42 @@ type PartialSet struct {
 // not ErrNoData: only the coordinator sees the whole cluster.
 func (s *Store) Partials(ctx context.Context, q PartialsQuery) (PartialSet, error) {
 	var set PartialSet
-	var encErr error
+	var err error
 	s.rlockAll()
-	foldTier := func(coarse bool) {
-		if encErr != nil || ctx.Err() != nil {
-			return
-		}
-		buckets := s.bucketsLocked(coarse)
-		for _, start := range sortedKeys(buckets) {
-			if encErr != nil || ctx.Err() != nil {
-				return
-			}
-			wins := buckets[start]
-			st := wins[0].start
-			if !q.From.IsZero() && st.Before(q.From) {
-				continue
-			}
-			if !q.To.IsZero() && !st.Before(q.To) {
-				continue
-			}
-			bucket := PartialBucket{Coarse: coarse, StartNS: start, DurNS: int64(wins[0].dur)}
-			merged := mergeSeriesViews(wins)
-			for _, k := range sortedKeys(merged) {
-				ser := merged[k]
-				if !ser.labels.Matches(q.Filter) {
-					continue
-				}
-				if q.Keep != nil && !q.Keep(k) {
-					continue
-				}
-				p, err := makePartial(bucket, k, ser, q.Mode)
-				if err != nil {
-					encErr = err
-					return
-				}
-				set.Series = append(set.Series, p)
-			}
-		}
-	}
-	foldTier(false)
-	foldTier(true)
-	if encErr == nil && q.WithTrend {
-		set.Trend, encErr = s.exportTrendLocked(q.Keep)
+	set.Series, err = exportWalk(func(visit func(foldItem) error) error {
+		return s.walkLocked(ctx, q.From, q.To, q.Filter, q.Keep, visit)
+	}, q.Mode)
+	if err == nil && q.WithTrend {
+		set.Trend, err = s.exportTrendLocked(q.Keep)
 	}
 	s.runlockAll()
-	if encErr != nil {
-		return PartialSet{}, encErr
-	}
-	if err := ctx.Err(); err != nil {
-		return PartialSet{}, fmt.Errorf("profstore: partials canceled: %w", err)
+	if err != nil {
+		return PartialSet{}, err
 	}
 	return set, nil
 }
 
-func makePartial(bucket PartialBucket, key string, ser *series, mode PartialMode) (SeriesPartial, error) {
-	p := SeriesPartial{Bucket: bucket, Key: key, Labels: ser.labels, Profiles: ser.profiles}
-	switch mode {
-	case PartialAggs:
-		agg := ser.agg
-		if agg == nil {
-			agg = computeSeriesAgg(ser.tree)
+// exportWalk encodes every item walk visits as a partial.
+func exportWalk(walk walkFunc, mode PartialMode) ([]SeriesPartial, error) {
+	var out []SeriesPartial
+	err := walk(func(it foldItem) error {
+		p := SeriesPartial{Bucket: it.bucket, Key: it.key, Labels: it.labels, Profiles: it.profiles}
+		if mode == PartialAggs {
+			p.Agg = aggData(it.aggregate())
+		} else {
+			blob, err := persist.EncodeProfile(&profiler.Profile{
+				Tree: it.tree,
+				Meta: profiler.Meta{Workload: it.labels.Workload, Vendor: it.labels.Vendor, Framework: it.labels.Framework},
+			})
+			if err != nil {
+				return fmt.Errorf("profstore: encode partial %s@%d: %w", it.key, it.bucket.StartNS, err)
+			}
+			p.Tree = blob
 		}
-		p.Agg = aggData(agg)
-	default:
-		blob, err := persist.EncodeProfile(&profiler.Profile{
-			Tree: ser.tree,
-			Meta: profiler.Meta{
-				Workload:  ser.labels.Workload,
-				Vendor:    ser.labels.Vendor,
-				Framework: ser.labels.Framework,
-			},
-		})
-		if err != nil {
-			return p, fmt.Errorf("profstore: encode partial %s@%d: %w", key, bucket.StartNS, err)
-		}
-		p.Tree = blob
-	}
-	return p, nil
+		out = append(out, p)
+		return nil
+	})
+	return out, err
 }
 
 // exportTrendLocked collects the trend state of every series keep accepts,
@@ -228,72 +189,50 @@ func (s *Store) exportTrendLocked(keep func(key string) bool) ([]byte, error) {
 	return trend.EncodeStates(moved)
 }
 
-// sortPartials orders a multi-node union into the store's canonical fold
-// order: fine tier first, bucket starts ascending, series keys ascending.
-// Series keys are disjoint across nodes (each routes to one owner), so the
-// order is total.
-func sortPartials(parts []SeriesPartial) {
-	sort.SliceStable(parts, func(i, j int) bool {
-		a, b := parts[i], parts[j]
-		if a.Bucket.Coarse != b.Bucket.Coarse {
-			return !a.Bucket.Coarse
+// walkPartials feeds a fold from a multi-node union of partials: sorted
+// into the store's canonical order — fine tier first, bucket starts
+// ascending, series keys ascending; keys are disjoint across owners, so the
+// order is total — and decoded one at a time as the fold visits them.
+func walkPartials(parts []SeriesPartial, mode PartialMode) walkFunc {
+	return func(visit func(foldItem) error) error {
+		sort.SliceStable(parts, func(i, j int) bool {
+			a, b := parts[i].Bucket, parts[j].Bucket
+			if a.Coarse != b.Coarse {
+				return !a.Coarse
+			}
+			if a.StartNS != b.StartNS {
+				return a.StartNS < b.StartNS
+			}
+			return parts[i].Key < parts[j].Key
+		})
+		for i := range parts {
+			p := &parts[i]
+			it := foldItem{bucket: p.Bucket, key: p.Key, labels: p.Labels, profiles: p.Profiles}
+			switch {
+			case mode == PartialTrees:
+				tree, err := p.DecodeTree()
+				if err != nil {
+					return err
+				}
+				it.tree = tree
+			case p.Agg == nil:
+				return fmt.Errorf("profstore: partial %s@%d carries no aggregate", p.Key, p.Bucket.StartNS)
+			default:
+				it.agg = p.Agg.toSeriesAgg()
+			}
+			if err := visit(it); err != nil {
+				return err
+			}
 		}
-		if a.Bucket.StartNS != b.Bucket.StartNS {
-			return a.Bucket.StartNS < b.Bucket.StartNS
-		}
-		return a.Key < b.Key
-	})
-}
-
-// foldPartialInfo walks sorted partials computing the same AggregateInfo a
-// single-node fold reports, invoking visit per partial in canonical order.
-func foldPartialInfo(parts []SeriesPartial, visit func(p *SeriesPartial) error) (AggregateInfo, error) {
-	info := AggregateInfo{}
-	seen := make(map[string]bool)
-	haveBucket := false
-	var lastBucket PartialBucket
-	for i := range parts {
-		p := &parts[i]
-		if !haveBucket || p.Bucket != lastBucket {
-			haveBucket = true
-			lastBucket = p.Bucket
-			info.Windows++
-		}
-		if err := visit(p); err != nil {
-			return info, err
-		}
-		info.Profiles += p.Profiles
-		if !seen[p.Key] {
-			seen[p.Key] = true
-			info.Series = append(info.Series, p.Key)
-		}
+		return nil
 	}
-	sort.Strings(info.Series)
-	return info, nil
 }
 
 // FoldAggregate merges a multi-node union of tree partials into one fresh
-// tree, byte-equal to Store.Aggregate over the same data. The from/to/filter
-// arguments only shape the ErrNoData message, which mirrors the single-node
-// text exactly (HTTP error bodies are compared too).
+// tree, byte-equal to Store.Aggregate over the same data — error text
+// included (HTTP error bodies are compared too).
 func FoldAggregate(parts []SeriesPartial, from, to time.Time, filter Labels) (*cct.Tree, AggregateInfo, error) {
-	sortPartials(parts)
-	out := cct.New()
-	info, err := foldPartialInfo(parts, func(p *SeriesPartial) error {
-		tree, err := p.DecodeTree()
-		if err != nil {
-			return err
-		}
-		cct.Merge(out, tree)
-		return nil
-	})
-	if err != nil {
-		return nil, info, err
-	}
-	if info.Windows == 0 {
-		return nil, info, fmt.Errorf("no data for filter %s in [%v, %v): %w", filter.Key(), from, to, ErrNoData)
-	}
-	return out, info, nil
+	return foldTree(walkPartials(parts, PartialTrees), from, to, filter)
 }
 
 // FoldHotspots ranks a multi-node union of tree partials, byte-equal to
@@ -307,10 +246,7 @@ func FoldHotspots(parts []SeriesPartial, from, to time.Time, filter Labels, metr
 		return nil, info, err
 	}
 	rows, err := rankHotspots(tree, metric, top)
-	if err != nil {
-		return nil, info, err
-	}
-	return rows, info, nil
+	return rows, info, err
 }
 
 // FoldTopK ranks a multi-node union of aggregate partials, byte-equal to
@@ -319,26 +255,12 @@ func FoldTopK(parts []SeriesPartial, from, to time.Time, filter Labels, metric s
 	if metric == "" {
 		metric = cct.MetricGPUTime
 	}
-	sortPartials(parts)
-	acc := newTopKAcc(metric)
-	info, err := foldPartialInfo(parts, func(p *SeriesPartial) error {
-		if p.Agg == nil {
-			return fmt.Errorf("profstore: partial %s@%d carries no aggregate", p.Key, p.Bucket.StartNS)
-		}
-		acc.addSeries(p.Key, p.Agg.toSeriesAgg())
-		return nil
-	})
+	acc, info, err := foldTopK(walkPartials(parts, PartialAggs), from, to, filter, metric)
 	if err != nil {
 		return nil, info, err
-	}
-	if info.Windows == 0 {
-		return nil, info, fmt.Errorf("no data for filter %s in [%v, %v): %w", filter.Key(), from, to, ErrNoData)
 	}
 	rows, err := acc.finish(k)
-	if err != nil {
-		return nil, info, err
-	}
-	return rows, info, nil
+	return rows, info, err
 }
 
 // FoldSearch ranks a multi-node union of aggregate partials, byte-equal to
@@ -348,26 +270,12 @@ func FoldSearch(parts []SeriesPartial, from, to time.Time, filter Labels, frame,
 	if metric == "" {
 		metric = cct.MetricGPUTime
 	}
-	sortPartials(parts)
-	acc := newSearchAcc(frame, metric)
-	info, err := foldPartialInfo(parts, func(p *SeriesPartial) error {
-		if p.Agg == nil {
-			return fmt.Errorf("profstore: partial %s@%d carries no aggregate", p.Key, p.Bucket.StartNS)
-		}
-		acc.addSeries(p.Key, p.Labels, p.Agg.toSeriesAgg())
-		return nil
-	})
+	acc, info, err := foldSearch(walkPartials(parts, PartialAggs), from, to, filter, frame, metric, nil)
 	if err != nil {
 		return nil, info, err
-	}
-	if info.Windows == 0 {
-		return nil, info, fmt.Errorf("no data for filter %s in [%v, %v): %w", filter.Key(), from, to, ErrNoData)
 	}
 	rows, err := acc.finish(limit)
-	if err != nil {
-		return nil, info, err
-	}
-	return rows, info, nil
+	return rows, info, err
 }
 
 // DiffPartials is one node's export for one diff instant: whether each tier
@@ -385,110 +293,44 @@ type DiffPartials struct {
 	Coarse        []SeriesPartial `json:"coarse,omitempty"`
 }
 
-// DiffPartials exports this store's contribution to one diff instant.
+// DiffPartials exports this store's contribution to one diff instant: the
+// two-tier view Store.Diff folds, with its series encoded.
 func (s *Store) DiffPartials(ctx context.Context, t time.Time, filter Labels) (DiffPartials, error) {
-	out := DiffPartials{
-		FineStartNS:   t.Truncate(s.cfg.Window).UnixNano(),
-		CoarseStartNS: t.Truncate(s.cfg.coarse()).UnixNano(),
-	}
-	var encErr error
 	s.rlockAll()
-	collect := func(coarse bool, startNS int64) (bool, []SeriesPartial) {
-		var wins []*window
-		for _, sh := range s.shards {
-			m := sh.fine
-			if coarse {
-				m = sh.coarse
-			}
-			if w := m[startNS]; w != nil {
-				wins = append(wins, w)
-			}
-		}
-		if len(wins) == 0 {
-			return false, nil
-		}
-		bucket := PartialBucket{Coarse: coarse, StartNS: startNS, DurNS: int64(wins[0].dur)}
-		merged := mergeSeriesViews(wins)
-		var parts []SeriesPartial
-		for _, k := range sortedKeys(merged) {
-			ser := merged[k]
-			if !ser.labels.Matches(filter) {
-				continue
-			}
-			p, err := makePartial(bucket, k, ser, PartialTrees)
-			if err != nil {
-				encErr = err
-				return true, nil
-			}
-			parts = append(parts, p)
-		}
-		return true, parts
-	}
-	out.FineExists, out.Fine = collect(false, out.FineStartNS)
-	if encErr == nil {
-		out.CoarseExists, out.Coarse = collect(true, out.CoarseStartNS)
+	d := s.diffSideLocked(t, filter)
+	out := DiffPartials{FineStartNS: d.fineNS, CoarseStartNS: d.coarseNS, FineExists: d.fineExists, CoarseExists: d.coarseExists}
+	var err error
+	if out.Fine, err = exportWalk(d.fine, PartialTrees); err == nil {
+		out.Coarse, err = exportWalk(d.coarse, PartialTrees)
 	}
 	s.runlockAll()
-	if encErr != nil {
-		return DiffPartials{}, encErr
+	if err != nil {
+		return DiffPartials{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return DiffPartials{}, fmt.Errorf("profstore: partials canceled: %w", err)
+		return DiffPartials{}, fmt.Errorf("profstore: query canceled: %w", err)
 	}
 	return out, nil
 }
 
-// FoldDiffSide resolves and merges one side of a cluster diff: fine tier if
-// any node holds a fine bucket containing t, else coarse, else the same
-// "no window contains" error a single node reports. The caller wraps the
-// error with the before/after prefix, mirroring Store.Diff.
+// FoldDiffSide resolves and merges one side of a cluster diff over every
+// node's export, byte-equal to the same side of Store.Diff — errors
+// included. The caller wraps the error with the before/after prefix.
 func FoldDiffSide(parts []DiffPartials, t time.Time, filter Labels) (*cct.Tree, error) {
-	coarse := true
-	var series []SeriesPartial
-	exists := false
+	var d diffSide
+	var fine, coarse []SeriesPartial
 	for _, p := range parts {
 		if p.FineExists {
-			coarse = false
+			d.fineExists, d.fineNS = true, p.FineStartNS
 		}
-	}
-	for _, p := range parts {
-		if coarse {
-			exists = exists || p.CoarseExists
-			series = append(series, p.Coarse...)
-		} else {
-			exists = exists || p.FineExists
-			series = append(series, p.Fine...)
+		if p.CoarseExists {
+			d.coarseExists, d.coarseNS = true, p.CoarseStartNS
 		}
+		fine = append(fine, p.Fine...)
+		coarse = append(coarse, p.Coarse...)
 	}
-	if !exists {
-		return nil, fmt.Errorf("no window contains %v: %w", t, ErrNoData)
-	}
-	if len(series) == 0 {
-		return nil, fmt.Errorf("no series match %s in window %v: %w",
-			filter.Key(), time.Unix(0, series0Start(parts, coarse)), ErrNoData)
-	}
-	sortPartials(series)
-	out := cct.New()
-	for i := range series {
-		tree, err := series[i].DecodeTree()
-		if err != nil {
-			return nil, err
-		}
-		cct.Merge(out, tree)
-	}
-	return out, nil
-}
-
-func series0Start(parts []DiffPartials, coarse bool) int64 {
-	for _, p := range parts {
-		if coarse && p.CoarseExists {
-			return p.CoarseStartNS
-		}
-		if !coarse && p.FineExists {
-			return p.FineStartNS
-		}
-	}
-	return 0
+	d.fine, d.coarse = walkPartials(fine, PartialTrees), walkPartials(coarse, PartialTrees)
+	return foldDiffSide(&d, t, filter)
 }
 
 // BuildDiff assembles the signed comparison of two folded sides, byte-equal
@@ -500,9 +342,10 @@ func BuildDiff(beforeTree, afterTree *cct.Tree, metric string, top int) (*DiffRe
 	return buildDiffResult(beforeTree, afterTree, metric, top)
 }
 
-// SortFindings orders a multi-node union of findings in the canonical
-// /regressions order — (window start, series, frame, direction) — and
-// applies limit by keeping the newest, exactly like Store.Regressions.
+// SortFindings orders findings in the canonical /regressions order —
+// (window start, series, frame, direction) — and applies limit by keeping
+// the newest. Store.Regressions and the coordinator's multi-node union
+// both go through it.
 func SortFindings(fs []trend.Finding, limit int) []trend.Finding {
 	sort.SliceStable(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -562,10 +405,7 @@ func (s *Store) ImportPartials(set PartialSet) (int, error) {
 // semantics would double-count a re-delivered handoff). Callers hold sh.mu
 // exclusively.
 func (sh *shard) replaceSeriesLocked(startNS, durNS int64, coarse bool, key string, labels Labels, tree *cct.Tree, profiles int) {
-	m := sh.fine
-	if coarse {
-		m = sh.coarse
-	}
+	m := sh.tier(coarse)
 	w := m[startNS]
 	if w == nil {
 		w = &window{
@@ -590,10 +430,7 @@ func (s *Store) DropSeries(drop func(key string) bool) int {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, coarse := range []bool{false, true} {
-			m := sh.fine
-			if coarse {
-				m = sh.coarse
-			}
+			m := sh.tier(coarse)
 			for _, start := range sortedKeys(m) {
 				w := m[start]
 				for _, key := range sortedKeys(w.series) {

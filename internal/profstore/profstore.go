@@ -526,22 +526,24 @@ type WindowInfo struct {
 func (s *Store) Windows() []WindowInfo {
 	s.rlockAll()
 	defer s.runlockAll()
-	combine := func(coarse bool) []WindowInfo {
-		buckets := s.bucketsLocked(coarse)
-		out := make([]WindowInfo, 0, len(buckets))
-		for _, start := range sortedKeys(buckets) {
-			wins := buckets[start]
-			wi := WindowInfo{Start: wins[0].start, Duration: wins[0].dur, Coarse: coarse}
-			for _, w := range wins {
-				wi.Series += len(w.series)
-				wi.Profiles += w.profiles()
-				wi.Nodes += w.nodes()
+	var out []WindowInfo
+	at := make(map[winKey]int)
+	for _, sh := range s.shards {
+		for _, coarse := range []bool{false, true} {
+			for k, w := range sh.tier(coarse) {
+				i, ok := at[winKey{k, coarse}]
+				if !ok {
+					// The lowest shard holding the bucket supplies its start.
+					i = len(out)
+					at[winKey{k, coarse}] = i
+					out = append(out, WindowInfo{Start: w.start, Duration: w.dur, Coarse: coarse})
+				}
+				out[i].Series += len(w.series)
+				out[i].Profiles += w.profiles()
+				out[i].Nodes += w.nodes()
 			}
-			out = append(out, wi)
 		}
-		return out
 	}
-	out := append(combine(false), combine(true)...)
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
@@ -556,11 +558,7 @@ func (s *Store) Windows() []WindowInfo {
 func (s *Store) bucketsLocked(coarse bool) map[int64][]*window {
 	out := make(map[int64][]*window)
 	for _, sh := range s.shards {
-		m := sh.fine
-		if coarse {
-			m = sh.coarse
-		}
-		for k, w := range m {
+		for k, w := range sh.tier(coarse) {
 			out[k] = append(out[k], w)
 		}
 	}
@@ -585,153 +583,20 @@ type AggregateInfo struct {
 // Cancellation of ctx is honored at bucket boundaries; a canceled fold
 // returns ctx's error (wrapped) and is never cached.
 func (s *Store) Aggregate(ctx context.Context, from, to time.Time, filter Labels) (*cct.Tree, AggregateInfo, error) {
-	type aggResult struct {
-		tree *cct.Tree
-		info AggregateInfo
-	}
-	var qkey string
-	var deps []dep
-	s.rlockAll()
-	if s.cache != nil {
-		qkey = fmt.Sprintf("agg|%d|%d|%s", from.UnixNano(), to.UnixNano(), filter.Key())
-		deps = s.rangeDepsLocked(from, to)
-		if v, ok := s.cache.serve(qkey, "", deps); ok {
-			s.runlockAll()
-			r := v.(*aggResult)
-			return r.tree, r.info, nil
-		}
-	}
-	tree, info, err := s.aggregateAllLocked(ctx, from, to, filter)
-	s.runlockAll()
-	if err != nil {
-		return nil, info, err
-	}
-	if s.cache != nil {
-		s.cache.put(qkey, "", deps, &aggResult{tree, info})
-	}
-	return tree, info, nil
+	return cachedRange(s, from, to,
+		func() string { return fmt.Sprintf("agg|%d|%d|%s", from.UnixNano(), to.UnixNano(), filter.Key()) },
+		func() (*cct.Tree, AggregateInfo, error) {
+			return foldTree(s.walker(ctx, from, to, filter), from, to, filter)
+		},
+		func(tree *cct.Tree) (*cct.Tree, error) { return tree, nil })
 }
 
-// aggregateAllLocked folds matching series from every shard in globally
-// sorted (tier, bucket start, series key) order — the exact fold order of
-// the pre-shard single-map store, so the result tree's child order, hence
-// tie-breaking in ranked queries, is identical for every shard count and
-// fully deterministic across calls and restarts. Callers hold all shard
-// read locks.
-func (s *Store) aggregateAllLocked(ctx context.Context, from, to time.Time, filter Labels) (*cct.Tree, AggregateInfo, error) {
-	out := cct.New()
-	info := AggregateInfo{}
-	seen := make(map[string]bool)
-	foldTier := func(coarse bool) {
-		buckets := s.bucketsLocked(coarse)
-		for _, start := range sortedKeys(buckets) {
-			// A disconnected client must not keep an all-shard fold
-			// running; one atomic load per bucket is noise next to the
-			// merges.
-			if ctx.Err() != nil {
-				return
-			}
-			wins := buckets[start]
-			st := wins[0].start
-			if !from.IsZero() && st.Before(from) {
-				continue
-			}
-			if !to.IsZero() && !st.Before(to) {
-				continue
-			}
-			merged := mergeSeriesViews(wins)
-			matched := false
-			for _, k := range sortedKeys(merged) {
-				ser := merged[k]
-				if !ser.labels.Matches(filter) {
-					continue
-				}
-				cct.Merge(out, ser.tree)
-				info.Profiles += ser.profiles
-				matched = true
-				if !seen[k] {
-					seen[k] = true
-					info.Series = append(info.Series, k)
-				}
-			}
-			if matched {
-				info.Windows++
-			}
-		}
+// walker feeds a fold from the store's canonical walk. The fold must run
+// under all shard read locks.
+func (s *Store) walker(ctx context.Context, from, to time.Time, filter Labels) walkFunc {
+	return func(visit func(foldItem) error) error {
+		return s.walkLocked(ctx, from, to, filter, nil, visit)
 	}
-	foldTier(false)
-	foldTier(true)
-	if err := ctx.Err(); err != nil {
-		return nil, info, fmt.Errorf("profstore: aggregate canceled: %w", err)
-	}
-	if info.Windows == 0 {
-		return nil, info, fmt.Errorf("no data for filter %s in [%v, %v): %w", filter.Key(), from, to, ErrNoData)
-	}
-	sort.Strings(info.Series)
-	return out, info, nil
-}
-
-// mergeSeriesViews flattens one bucket's per-shard windows into a single
-// series map. Series keys are disjoint across shards (each key routes to
-// exactly one shard), so this is a union, not a merge.
-func mergeSeriesViews(wins []*window) map[string]*series {
-	if len(wins) == 1 {
-		return wins[0].series
-	}
-	merged := make(map[string]*series)
-	for _, w := range wins {
-		for k, ser := range w.series {
-			merged[k] = ser
-		}
-	}
-	return merged
-}
-
-// resolveBucketLocked returns the single bucket containing instant t —
-// its per-shard windows and its identity — preferring fine windows (full
-// resolution) over coarse ones. Callers hold all shard read locks.
-func (s *Store) resolveBucketLocked(t time.Time) ([]*window, winKey, error) {
-	fk := t.Truncate(s.cfg.Window).UnixNano()
-	var wins []*window
-	for _, sh := range s.shards {
-		if w := sh.fine[fk]; w != nil {
-			wins = append(wins, w)
-		}
-	}
-	if len(wins) > 0 {
-		return wins, winKey{fk, false}, nil
-	}
-	ck := t.Truncate(s.cfg.coarse()).UnixNano()
-	for _, sh := range s.shards {
-		if w := sh.coarse[ck]; w != nil {
-			wins = append(wins, w)
-		}
-	}
-	if len(wins) > 0 {
-		return wins, winKey{ck, true}, nil
-	}
-	return nil, winKey{}, fmt.Errorf("no window contains %v: %w", t, ErrNoData)
-}
-
-// aggregateBucketLocked merges one bucket's series matching filter into a
-// fresh tree, in sorted series-key order across shards. Unlike a
-// time-range aggregate this reads exactly one bucket — a coarse fallback
-// must not sweep in fine windows sharing its range. Callers hold all shard
-// read locks.
-func (s *Store) aggregateBucketLocked(wins []*window, filter Labels) (*cct.Tree, error) {
-	merged := mergeSeriesViews(wins)
-	out := cct.New()
-	matched := false
-	for _, k := range sortedKeys(merged) {
-		if ser := merged[k]; ser.labels.Matches(filter) {
-			cct.Merge(out, ser.tree)
-			matched = true
-		}
-	}
-	if !matched {
-		return nil, fmt.Errorf("no series match %s in window %v: %w", filter.Key(), wins[0].start, ErrNoData)
-	}
-	return out, nil
 }
 
 // rangeDepsLocked stamps every bucket whose start lies in [from, to): the
@@ -765,11 +630,7 @@ func (s *Store) rangeDepsLocked(from, to time.Time) []dep {
 func (s *Store) bucketDepsLocked(key winKey) []dep {
 	var deps []dep
 	for si, sh := range s.shards {
-		m := sh.fine
-		if key.coarse {
-			m = sh.coarse
-		}
-		if m[key.start] != nil {
+		if sh.tier(key.coarse)[key.start] != nil {
 			deps = append(deps, dep{si, key, sh.gens[key]})
 		}
 	}
@@ -796,35 +657,14 @@ func (s *Store) Hotspots(ctx context.Context, from, to time.Time, filter Labels,
 	if metric == "" {
 		metric = cct.MetricGPUTime
 	}
-	type hotResult struct {
-		rows []Hotspot
-		info AggregateInfo
-	}
-	var qkey string
-	var deps []dep
-	s.rlockAll()
-	if s.cache != nil {
-		qkey = fmt.Sprintf("hot|%d|%d|%s|%s|%d", from.UnixNano(), to.UnixNano(), filter.Key(), metric, top)
-		deps = s.rangeDepsLocked(from, to)
-		if v, ok := s.cache.serve(qkey, "", deps); ok {
-			s.runlockAll()
-			r := v.(*hotResult)
-			return r.rows, r.info, nil
-		}
-	}
-	tree, info, err := s.aggregateAllLocked(ctx, from, to, filter)
-	s.runlockAll()
-	if err != nil {
-		return nil, info, err
-	}
-	rows, err := rankHotspots(tree, metric, top)
-	if err != nil {
-		return nil, info, err
-	}
-	if s.cache != nil {
-		s.cache.put(qkey, "", deps, &hotResult{rows, info})
-	}
-	return rows, info, nil
+	return cachedRange(s, from, to,
+		func() string {
+			return fmt.Sprintf("hot|%d|%d|%s|%s|%d", from.UnixNano(), to.UnixNano(), filter.Key(), metric, top)
+		},
+		func() (*cct.Tree, AggregateInfo, error) {
+			return foldTree(s.walker(ctx, from, to, filter), from, to, filter)
+		},
+		func(tree *cct.Tree) ([]Hotspot, error) { return rankHotspots(tree, metric, top) })
 }
 
 // rankHotspots flattens a (fresh, caller-owned) aggregate tree into rows
@@ -904,19 +744,12 @@ func (s *Store) Diff(ctx context.Context, before, after time.Time, filter Labels
 	// compaction pass between the two steps could fold a just-resolved
 	// fine window into a coarse bucket, making retained data look absent.
 	s.rlockAll()
-	bWins, bKey, err := s.resolveBucketLocked(before)
-	if err != nil {
-		s.runlockAll()
-		return nil, fmt.Errorf("profstore: before: %w", err)
-	}
-	aWins, aKey, err := s.resolveBucketLocked(after)
-	if err != nil {
-		s.runlockAll()
-		return nil, fmt.Errorf("profstore: after: %w", err)
-	}
+	bSide, aSide := s.diffSideLocked(before, filter), s.diffSideLocked(after, filter)
 	var qkey, shape string
 	var deps []dep
-	if s.cache != nil {
+	bKey, bOK := bSide.resolve()
+	aKey, aOK := aSide.resolve()
+	if s.cache != nil && bOK && aOK {
 		qkey = fmt.Sprintf("diff|%d|%d|%s|%s|%d", before.UnixNano(), after.UnixNano(), filter.Key(), metric, top)
 		// The shape pins which buckets the instants resolved to: a fine
 		// window appearing over a previously-coarse instant changes the
@@ -928,32 +761,28 @@ func (s *Store) Diff(ctx context.Context, before, after time.Time, filter Labels
 			return v.(*DiffResult), nil
 		}
 	}
-	// Cancellation is honored between the two bucket folds — each one is a
-	// single bucket's worth of work, the same granularity the range queries
+	// Cancellation is honored before the two bucket folds — each one is a
+	// single bucket's worth of work, the granularity the range queries
 	// check at.
 	if err := ctx.Err(); err != nil {
 		s.runlockAll()
-		return nil, fmt.Errorf("profstore: diff canceled: %w", err)
+		return nil, fmt.Errorf("profstore: query canceled: %w", err)
 	}
-	beforeTree, bErr := s.aggregateBucketLocked(bWins, filter)
-	afterTree, aErr := s.aggregateBucketLocked(aWins, filter)
+	beforeTree, err := foldDiffSide(bSide, before, filter)
+	if err != nil {
+		s.runlockAll()
+		return nil, fmt.Errorf("profstore: before: %w", err)
+	}
+	afterTree, err := foldDiffSide(aSide, after, filter)
 	s.runlockAll()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("profstore: diff canceled: %w", err)
-	}
-	if bErr != nil {
-		return nil, fmt.Errorf("profstore: before: %w", bErr)
-	}
-	if aErr != nil {
-		return nil, fmt.Errorf("profstore: after: %w", aErr)
+	if err != nil {
+		return nil, fmt.Errorf("profstore: after: %w", err)
 	}
 	res, err := buildDiffResult(beforeTree, afterTree, metric, top)
 	if err != nil {
 		return nil, err
 	}
-	if s.cache != nil {
-		s.cache.put(qkey, shape, deps, res)
-	}
+	s.cache.put(qkey, shape, deps, res)
 	return res, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -404,6 +405,37 @@ func TestDiffMissingWindowFails(t *testing.T) {
 	mustIngest(t, s, synthProfile("UNet", "Nvidia", "pytorch", 0x1, 1))
 	if _, err := s.Diff(context.Background(), base.Add(time.Hour), base, Labels{}, cct.MetricGPUTime, 0); err == nil {
 		t.Fatal("diff against an absent window should fail")
+	}
+}
+
+// A diff whose filter matches nothing names the resolved bucket in its
+// error. One node and a cluster must word it identically whatever zone the
+// store clock runs in: the bucket start renders once, in UTC.
+func TestDiffNoSeriesErrorIsZoneIndependent(t *testing.T) {
+	clock := newClock(base.In(time.FixedZone("X", 5*3600)))
+	s := New(Config{Window: time.Minute, Now: clock.Now})
+	defer s.Close()
+	mustIngest(t, s, synthProfile("UNet", "Nvidia", "pytorch", 0x1, 1))
+	filter := Labels{Workload: "nosuch"}
+
+	_, storeErr := s.Diff(context.Background(), base, base, filter, cct.MetricGPUTime, 0)
+	if !errors.Is(storeErr, ErrNoData) {
+		t.Fatalf("store diff: err = %v, want ErrNoData", storeErr)
+	}
+	part, err := s.DiffPartials(context.Background(), base, filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, foldErr := FoldDiffSide([]DiffPartials{part}, base, filter)
+	if foldErr == nil {
+		t.Fatal("partials diff side matched a filter that matches nothing")
+	}
+	if got, want := storeErr.Error(), "profstore: before: "+foldErr.Error(); got != want {
+		t.Fatalf("store and partials paths word the error differently:\nstore    %s\npartials %s", got, want)
+	}
+	const want = "no series match nosuch// in window 2026-01-01 00:00:00 +0000 UTC"
+	if !strings.Contains(storeErr.Error(), want) {
+		t.Fatalf("error %q does not contain %q", storeErr, want)
 	}
 }
 

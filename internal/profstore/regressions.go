@@ -1,7 +1,6 @@
 package profstore
 
 import (
-	"sort"
 	"time"
 
 	"deepcontext/internal/cct"
@@ -54,23 +53,7 @@ func (s *Store) Regressions(q RegressionQuery) []trend.Finding {
 		}
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.AfterUnixNano != b.AfterUnixNano {
-			return a.AfterUnixNano < b.AfterUnixNano
-		}
-		if a.Series != b.Series {
-			return a.Series < b.Series
-		}
-		if a.Frame != b.Frame {
-			return a.Frame < b.Frame
-		}
-		return a.Direction > b.Direction
-	})
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[len(out)-q.Limit:] // keep the newest
-	}
-	return out
+	return SortFindings(out, q.Limit)
 }
 
 // TrendSweep closes every fine window that has ended under the store's

@@ -131,6 +131,14 @@ func newShard(id int, cfg Config, met *storeMetrics) *shard {
 	return sh
 }
 
+// tier returns one resolution tier's window map.
+func (sh *shard) tier(coarse bool) map[int64]*window {
+	if coarse {
+		return sh.coarse
+	}
+	return sh.fine
+}
+
 func shardDir(dataDir string, id int) string {
 	return filepath.Join(dataDir, fmt.Sprintf("shard-%d", id))
 }

@@ -259,42 +259,14 @@ func (s *Store) TopK(ctx context.Context, from, to time.Time, filter Labels, met
 	if metric == "" {
 		metric = cct.MetricGPUTime
 	}
-	type topkResult struct {
-		rows []TopKRow
-		info AggregateInfo
-	}
-	var qkey string
-	var deps []dep
-	s.rlockAll()
-	if s.cache != nil {
-		qkey = fmt.Sprintf("topk|%d|%d|%s|%q|%d", from.UnixNano(), to.UnixNano(), filter.Key(), metric, k)
-		deps = s.rangeDepsLocked(from, to)
-		if v, ok := s.cache.serve(qkey, "", deps); ok {
-			s.runlockAll()
-			r := v.(*topkResult)
-			return r.rows, r.info, nil
-		}
-	}
-	acc := newTopKAcc(metric)
-	info, err := s.foldAggsLocked(ctx, from, to, filter, func(key string, _ Labels, ser *series) {
-		agg := ser.agg
-		if agg == nil {
-			agg = computeSeriesAgg(ser.tree)
-		}
-		acc.addSeries(key, agg)
-	})
-	s.runlockAll()
-	if err != nil {
-		return nil, info, err
-	}
-	rows, err := acc.finish(k)
-	if err != nil {
-		return nil, info, err
-	}
-	if s.cache != nil {
-		s.cache.put(qkey, "", deps, &topkResult{rows, info})
-	}
-	return rows, info, nil
+	return cachedRange(s, from, to,
+		func() string {
+			return fmt.Sprintf("topk|%d|%d|%s|%q|%d", from.UnixNano(), to.UnixNano(), filter.Key(), metric, k)
+		},
+		func() (*topkAcc, AggregateInfo, error) {
+			return foldTopK(s.walker(ctx, from, to, filter), from, to, filter, metric)
+		},
+		func(acc *topkAcc) ([]TopKRow, error) { return acc.finish(k) })
 }
 
 // Search returns the series matching filter whose trees contain frame (a
@@ -309,103 +281,15 @@ func (s *Store) Search(ctx context.Context, from, to time.Time, filter Labels, f
 	if metric == "" {
 		metric = cct.MetricGPUTime
 	}
-	type searchResult struct {
-		rows []SearchRow
-		info AggregateInfo
-	}
-	var qkey string
-	var deps []dep
-	s.rlockAll()
-	if s.cache != nil {
-		qkey = fmt.Sprintf("srch|%d|%d|%s|%q|%q|%d", from.UnixNano(), to.UnixNano(), filter.Key(), frame, metric, limit)
-		deps = s.rangeDepsLocked(from, to)
-		if v, ok := s.cache.serve(qkey, "", deps); ok {
-			s.runlockAll()
-			r := v.(*searchResult)
-			return r.rows, r.info, nil
-		}
-	}
-	acc := newSearchAcc(frame, metric)
-	info, err := s.foldAggsLocked(ctx, from, to, filter, func(key string, labels Labels, ser *series) {
-		if agg := ser.agg; agg != nil {
-			// Indexed bucket: the metric-name union never needs the tree,
-			// and the posting list can prove the frame absent.
-			for _, m := range agg.metrics {
-				acc.known[m] = true
-			}
-			if !s.shardFor(key).idx.seriesMayHave(frame, key) {
-				return
-			}
-			acc.addSeries(key, labels, agg)
-			return
-		}
-		acc.addSeries(key, labels, computeSeriesAgg(ser.tree))
-	})
-	s.runlockAll()
-	if err != nil {
-		return nil, info, err
-	}
-	rows, err := acc.finish(limit)
-	if err != nil {
-		return nil, info, err
-	}
-	if s.cache != nil {
-		s.cache.put(qkey, "", deps, &searchResult{rows, info})
-	}
-	return rows, info, nil
-}
-
-// foldAggsLocked enumerates every series matching filter in buckets whose
-// start lies in [from, to), in the store's canonical (tier, bucket start,
-// series key) fold order, invoking visit for each. It returns the same
-// AggregateInfo shape as Aggregate and ErrNoData when nothing matched.
-// Callers hold all shard read locks.
-func (s *Store) foldAggsLocked(ctx context.Context, from, to time.Time, filter Labels, visit func(key string, labels Labels, ser *series)) (AggregateInfo, error) {
-	info := AggregateInfo{}
-	seen := make(map[string]bool)
-	foldTier := func(coarse bool) {
-		buckets := s.bucketsLocked(coarse)
-		for _, start := range sortedKeys(buckets) {
-			// Same bucket-boundary cancellation as aggregateAllLocked.
-			if ctx.Err() != nil {
-				return
-			}
-			wins := buckets[start]
-			st := wins[0].start
-			if !from.IsZero() && st.Before(from) {
-				continue
-			}
-			if !to.IsZero() && !st.Before(to) {
-				continue
-			}
-			merged := mergeSeriesViews(wins)
-			matched := false
-			for _, k := range sortedKeys(merged) {
-				ser := merged[k]
-				if !ser.labels.Matches(filter) {
-					continue
-				}
-				visit(k, ser.labels, ser)
-				info.Profiles += ser.profiles
-				matched = true
-				if !seen[k] {
-					seen[k] = true
-					info.Series = append(info.Series, k)
-				}
-			}
-			if matched {
-				info.Windows++
-			}
-		}
-	}
-	foldTier(false)
-	foldTier(true)
-	if err := ctx.Err(); err != nil {
-		return info, fmt.Errorf("profstore: fold canceled: %w", err)
-	}
-	if info.Windows == 0 {
-		return info, fmt.Errorf("no data for filter %s in [%v, %v): %w", filter.Key(), from, to, ErrNoData)
-	}
-	sort.Strings(info.Series)
-	return info, nil
+	return cachedRange(s, from, to,
+		func() string {
+			return fmt.Sprintf("srch|%d|%d|%s|%q|%q|%d", from.UnixNano(), to.UnixNano(), filter.Key(), frame, metric, limit)
+		},
+		func() (*searchAcc, AggregateInfo, error) {
+			// A close-time aggregate implies its tree is indexed (see
+			// index.go), so the posting list may prune it.
+			mayHave := func(key string) bool { return s.shardFor(key).idx.seriesMayHave(frame, key) }
+			return foldSearch(s.walker(ctx, from, to, filter), from, to, filter, frame, metric, mayHave)
+		},
+		func(acc *searchAcc) ([]SearchRow, error) { return acc.finish(limit) })
 }
