@@ -12,6 +12,10 @@ package main
 //	POST /cluster/join       drive a membership change from this node
 //	GET  /cluster/status     routing table + per-peer health
 //
+// Partials answers, export answers and import bodies are binary peer-wire
+// messages (internal/cluster/peerwire.go); requests, errors and every
+// other body are JSON.
+//
 // Peers are trusted: the /cluster/* surface shares the public listener,
 // so deployments that cannot trust the network should front it with
 // transport auth (see docs/OPERATIONS.md §11).
@@ -23,7 +27,6 @@ import (
 	"net/http"
 
 	"deepcontext/internal/cluster"
-	"deepcontext/internal/profstore"
 )
 
 // readJSONBody decodes a bounded JSON request body into v.
@@ -36,7 +39,8 @@ func (s *server) readJSONBody(w http.ResponseWriter, r *http.Request, v any) boo
 	return true
 }
 
-// POST /cluster/partials — evaluate one scatter-gather share locally.
+// POST /cluster/partials — evaluate one scatter-gather share locally and
+// answer in the binary peer wire (internal/cluster/peerwire.go).
 func (s *server) handleClusterPartials(w http.ResponseWriter, r *http.Request) {
 	var req cluster.PartialsRequest
 	if !s.readJSONBody(w, r, &req) {
@@ -47,7 +51,7 @@ func (s *server) handleClusterPartials(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	cluster.WritePartials(w, resp)
 }
 
 // POST /cluster/ingest — apply a forwarded batch of full v3 frames.
@@ -85,24 +89,27 @@ func (s *server) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, struct {
-		Set profstore.PartialSet `json:"set"`
-	}{set})
+	cluster.WritePartials(w, &cluster.PartialsResponse{Set: set})
 }
 
-// POST /cluster/import — install a handoff delivery (durable before the
-// response).
+// POST /cluster/import — install a handoff delivery, a peer-wire message
+// (durable before the response).
 func (s *server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	if !s.beginWrite() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	defer s.endWrite()
-	var set profstore.PartialSet
-	if !s.readJSONBody(w, r, &set) {
+	raw, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	n, err := cluster.ImportSet(s.store, set)
+	msg, err := cluster.DecodePartials(raw)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode request: %w", err))
+		return
+	}
+	n, err := cluster.ImportSet(s.store, msg.Set)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

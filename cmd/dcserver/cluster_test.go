@@ -3,8 +3,9 @@ package main
 // Cluster-mode server tests: the byte-equivalence matrix (a cluster of
 // any size must answer every query endpoint byte-identically to a single
 // node holding the union of the data, whatever the shard count or cache
-// setting), the kill/restart stress test, the canceled-query status
-// mapping, and the shutdown write drain.
+// setting), the kill/restart stress test, a join through the real handoff
+// handlers, a mixed-release cluster, the canceled-query status mapping,
+// and the shutdown write drain.
 
 import (
 	"bytes"
@@ -435,6 +436,153 @@ func TestClusterStress(t *testing.T) {
 	}
 	if st.Degraded {
 		t.Fatalf("cluster status still degraded after restart: %+v", st)
+	}
+}
+
+// TestClusterJoinOverHTTP grows a two-node cluster to three through
+// POST /cluster/join, so the handoff crosses the real /cluster/export and
+// /cluster/import handlers in the peer wire. Every node must answer the
+// pre-join bytes afterwards, and a re-run must move nothing.
+func TestClusterJoinOverHTTP(t *testing.T) {
+	clock := &testClock{t: testBase}
+	cl := bootTestCluster(t, profstore.Config{Window: time.Minute, Now: clock.Now}, 3)
+	two := &cluster.Table{Generation: 2, Nodes: []cluster.Node{
+		{ID: "n1", Addr: cl[0].url()}, {ID: "n2", Addr: cl[1].url()},
+	}}
+	for _, nd := range cl[:2] {
+		if err := nd.coord.SetTable(two); err != nil {
+			t.Fatal(err)
+		}
+	}
+	three := &cluster.Table{Generation: 3, Nodes: []cluster.Node{
+		{ID: "n1", Addr: cl[0].url()}, {ID: "n2", Addr: cl[1].url()}, {ID: "n3", Addr: cl[2].url()},
+	}}
+	// Series until n3 takes some from each old owner, plus some that stay.
+	var entries []profdb.Entry
+	moves := map[string]int{}
+	ring2, ring3 := two.Ring(), three.Ring()
+	for i := 0; i < 1000 && (moves["n1"] == 0 || moves["n2"] == 0 || len(entries) < 8); i++ {
+		p := labeledProfile(fmt.Sprintf("w%03d", i), "nvidia", "pytorch", float64(1+i))
+		key := profstore.LabelsOf(p.Meta).Key()
+		if from := ring2.Owner(key); ring3.Owner(key) == "n3" {
+			moves[from]++
+		}
+		entries = append(entries, profdb.Entry{Name: key, Profile: p})
+	}
+	var bundle bytes.Buffer
+	if err := profdb.SaveBundle(&bundle, entries); err != nil {
+		t.Fatal(err)
+	}
+	hc := &http.Client{Timeout: 30 * time.Second}
+	for round := 0; round < 2; round++ {
+		resp, err := hc.Post(cl[0].url()+"/ingest", "application/octet-stream", bytes.NewReader(bundle.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest: status %d", resp.StatusCode)
+		}
+		clock.Advance(time.Minute)
+	}
+	if got := cl[2].store.Stats().Ingested; got != 0 {
+		t.Fatalf("n3 ingested %d profiles before joining", got)
+	}
+	const q = "/hotspots?top=50"
+	_, golden := rawGet(t, hc, cl[0].url()+q)
+
+	join := func() cluster.JoinReport {
+		t.Helper()
+		body, err := json.Marshal(three)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Post(cl[0].url()+"/cluster/join", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep cluster.JoinReport
+		decodeJSON(t, resp, &rep)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("join: status %d", resp.StatusCode)
+		}
+		return rep
+	}
+	rep := join()
+	// Two windows per moved series.
+	if rep.Exported["n1"] != 2*moves["n1"] || rep.Exported["n2"] != 2*moves["n2"] || rep.Imported["n3"] != 2*(moves["n1"]+moves["n2"]) {
+		t.Fatalf("join report %+v, want n3 to import %v from n1 and n2, two windows each", rep, moves)
+	}
+	for _, nd := range cl {
+		if code, body := rawGet(t, hc, nd.url()+q); code != http.StatusOK || body != golden {
+			t.Fatalf("%s after join: status %d, body diverged from the pre-join answer:\n got %s\nwant %s", nd.id, code, body, golden)
+		}
+	}
+	if rep := join(); rep.Exported["n1"]+rep.Exported["n2"]+rep.Exported["n3"] != 0 {
+		t.Fatalf("re-run join moved data again: %+v", rep)
+	}
+}
+
+// TestClusterMixedWireVersionDegrades boots a router beside a peer of the
+// previous release, whose /cluster/partials answers indented JSON. The
+// router must not fail or misread the answer: it answers 200 from its own
+// share with the old peer named in coverage.down.
+func TestClusterMixedWireVersionDegrades(t *testing.T) {
+	clock := &testClock{t: testBase}
+	cfg := profstore.Config{Window: time.Minute, Now: clock.Now}
+	old := profstore.New(cfg)
+	defer old.Close()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/cluster/partials", func(w http.ResponseWriter, r *http.Request) {
+		var req cluster.PartialsRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		resp, err := cluster.ServePartials(r.Context(), old, &req)
+		if err != nil {
+			writeQueryError(w, err)
+			return
+		}
+		writeJSON(w, resp)
+	})
+	legacy := httptest.NewServer(mux)
+	defer legacy.Close()
+
+	store := profstore.New(cfg)
+	defer store.Close()
+	tbl := &cluster.Table{Generation: 1, Nodes: []cluster.Node{{ID: "n1", Addr: "http://n1.invalid"}, {ID: "old", Addr: legacy.URL}}}
+	coord, err := cluster.New(cluster.Config{Self: "n1", Store: store, Table: tbl, Options: cluster.Options{Backoff: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, h := newServerHandler(store, coord, profdb.DefaultMaxBytes, 0, false)
+	router := httptest.NewServer(h)
+	defer router.Close()
+	owners := map[string]bool{}
+	for _, sp := range equivalenceSeries {
+		p := labeledProfile(sp.w, sp.v, sp.f, 1)
+		owner := coord.OwnerOf(profstore.LabelsOf(p.Meta))
+		owners[owner] = true
+		st := store
+		if owner == "old" {
+			st = old
+		}
+		if _, err := st.Ingest(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !owners["n1"] || !owners["old"] {
+		t.Fatalf("series owners %v: the test needs both nodes to own data", owners)
+	}
+
+	var body hotspotsBody
+	if err := getJSON(http.DefaultClient, router.URL+"/hotspots?top=5", &body); err != nil {
+		t.Fatal(err)
+	}
+	cov := body.Info.Coverage
+	if cov == nil || cov.NodesTotal != 2 || cov.NodesUp != 1 || len(cov.Down) != 1 || cov.Down[0] != "old" {
+		t.Fatalf("coverage = %+v, want the old-release peer down", cov)
+	}
+	if len(body.Rows) == 0 {
+		t.Fatal("degraded answer carries no rows from the router's own share")
 	}
 }
 

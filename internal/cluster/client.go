@@ -43,15 +43,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// maxAnswerBytes caps one peer answer: a node's share of a query over a
+// large store, or a handoff export.
+const maxAnswerBytes = 64 << 20
+
 // peer is one remote node's client: retry/timeout/backoff plus per-peer
 // telemetry (request counters by outcome and a latency histogram, labeled
 // with the peer id — the same labeled-handle pattern dcserver's endpoint
 // metrics use).
 type peer struct {
-	id   string
-	base string
-	hc   *http.Client
-	opts Options
+	id        string
+	base      string
+	hc        *http.Client
+	opts      Options
+	maxAnswer int64 // cap on one answer body, maxAnswerBytes outside tests
 
 	ok      *telemetry.Counter
 	failed  *telemetry.Counter
@@ -66,11 +71,12 @@ type peer struct {
 
 func newPeer(n Node, reg *telemetry.Registry, opts Options) *peer {
 	p := &peer{
-		id:   n.ID,
-		base: n.Addr,
-		hc:   &http.Client{Timeout: opts.Timeout},
-		opts: opts,
-		up:   true,
+		id:        n.ID,
+		base:      n.Addr,
+		hc:        &http.Client{Timeout: opts.Timeout},
+		opts:      opts,
+		maxAnswer: maxAnswerBytes,
+		up:        true,
 	}
 	if reg != nil {
 		l := telemetry.L("peer", n.ID)
@@ -116,19 +122,30 @@ type remoteError struct {
 
 func (e *remoteError) Error() string { return e.msg }
 
+// answerError is a 2xx answer this node cannot use: over the size cap, in
+// another wire version, or malformed. The same request would get the same
+// bytes back, so it is never retried.
+type answerError struct{ err error }
+
+func (e *answerError) Error() string { return e.err.Error() }
+func (e *answerError) Unwrap() error { return e.err }
+
 // retryable reports whether an attempt's failure is worth retrying:
-// transport errors and 5xx yes, 4xx no (the request itself is bad).
+// transport errors and 5xx yes; 4xx (the request itself is bad) and
+// unusable answers no.
 func retryable(err error) bool {
 	var re *remoteError
 	if errors.As(err, &re) {
 		return re.status >= 500
 	}
-	return true
+	var ae *answerError
+	return !errors.As(err, &ae)
 }
 
 // do performs one HTTP exchange with retries (retry=true) or a single
-// attempt (retry=false), decoding a JSON response into out when non-nil.
-func (p *peer) do(ctx context.Context, method, path, contentType string, body []byte, out any, retry bool) error {
+// attempt (retry=false), handing a 2xx answer's body to decode when
+// non-nil.
+func (p *peer) do(ctx context.Context, method, path, contentType string, body []byte, decode func([]byte) error, retry bool) error {
 	attempts := 1
 	if retry {
 		attempts += p.opts.Retries
@@ -146,10 +163,16 @@ func (p *peer) do(ctx context.Context, method, path, contentType string, body []
 				return ctx.Err()
 			}
 		}
-		err = p.attempt(ctx, method, path, contentType, body, out)
+		err = p.attempt(ctx, method, path, contentType, body, decode)
 		if err == nil {
+			if p.ok != nil {
+				p.ok.Inc()
+			}
 			p.note(nil)
 			return nil
+		}
+		if p.failed != nil {
+			p.failed.Inc()
 		}
 		if ctx.Err() != nil || !retryable(err) {
 			break
@@ -159,7 +182,9 @@ func (p *peer) do(ctx context.Context, method, path, contentType string, body []
 	return fmt.Errorf("cluster: peer %s %s%s: %w", p.id, p.base, path, err)
 }
 
-func (p *peer) attempt(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+// attempt is one request and its answer. The latency histogram covers the
+// whole exchange, body transfer included; decoding is not part of it.
+func (p *peer) attempt(ctx context.Context, method, path, contentType string, body []byte, decode func([]byte) error) error {
 	var t0 time.Time
 	if p.latency != nil {
 		t0 = time.Now()
@@ -176,27 +201,18 @@ func (p *peer) attempt(ctx context.Context, method, path, contentType string, bo
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := p.hc.Do(req)
+	var data []byte
+	if err == nil {
+		data, err = readAnswer(resp, p.maxAnswer)
+		resp.Body.Close()
+	}
 	if p.latency != nil {
 		p.latency.Observe(time.Since(t0))
 	}
 	if err != nil {
-		if p.failed != nil {
-			p.failed.Inc()
-		}
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		if p.failed != nil {
-			p.failed.Inc()
-		}
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		if p.failed != nil {
-			p.failed.Inc()
-		}
 		msg := strings.TrimSpace(string(data))
 		var eb struct {
 			Error string `json:"error"`
@@ -206,22 +222,55 @@ func (p *peer) attempt(ctx context.Context, method, path, contentType string, bo
 		}
 		return &remoteError{status: resp.StatusCode, msg: msg}
 	}
-	if p.ok != nil {
-		p.ok.Inc()
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("decode response: %w", err)
+	if decode != nil {
+		if err := decode(data); err != nil {
+			return &answerError{fmt.Errorf("decode answer: %w", err)}
 		}
 	}
 	return nil
 }
 
-// postJSON marshals in and POSTs it, decoding the JSON response into out.
-func (p *peer) postJSON(ctx context.Context, path string, in, out any, retry bool) error {
+// readAnswer reads a response body of at most limit bytes into one buffer
+// sized from Content-Length. An answer over the cap is an answerError.
+func readAnswer(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, &answerError{fmt.Errorf("answer of %d bytes exceeds the %d-byte cap on peer answers", resp.ContentLength, limit)}
+	}
+	var buf bytes.Buffer
+	if resp.ContentLength > 0 {
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, &answerError{fmt.Errorf("answer exceeds the %d-byte cap on peer answers", limit)}
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeJSON returns a decoder that unmarshals a JSON answer into out.
+func decodeJSON(out any) func([]byte) error {
+	return func(b []byte) error { return json.Unmarshal(b, out) }
+}
+
+// postJSON marshals in and POSTs it, handing the answer to decode.
+func (p *peer) postJSON(ctx context.Context, path string, in any, decode func([]byte) error, retry bool) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("cluster: encode request: %w", err)
 	}
-	return p.do(ctx, http.MethodPost, path, "application/json", body, out, retry)
+	return p.do(ctx, http.MethodPost, path, "application/json", body, decode, retry)
+}
+
+// postPartials POSTs a JSON request and decodes the peer-wire answer. It
+// retries, because every such request is a read.
+func (p *peer) postPartials(ctx context.Context, path string, in any) (*PartialsResponse, error) {
+	var out *PartialsResponse
+	err := p.postJSON(ctx, path, in, func(b []byte) (err error) {
+		out, err = DecodePartials(b)
+		return err
+	}, true)
+	return out, err
 }

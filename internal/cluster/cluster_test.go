@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -133,7 +134,7 @@ func newTestNode(t *testing.T, id string, now func() time.Time) *testNode {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		json.NewEncoder(w).Encode(resp)
+		WritePartials(w, resp)
 	})
 	mux.HandleFunc("/cluster/ingest", func(w http.ResponseWriter, r *http.Request) {
 		sum, err := ApplyForward(n.store, r.Body, 64<<20)
@@ -154,17 +155,20 @@ func newTestNode(t *testing.T, id string, now func() time.Time) *testNode {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		json.NewEncoder(w).Encode(struct {
-			Set profstore.PartialSet `json:"set"`
-		}{set})
+		WritePartials(w, &PartialsResponse{Set: set})
 	})
 	mux.HandleFunc("/cluster/import", func(w http.ResponseWriter, r *http.Request) {
-		var set profstore.PartialSet
-		if err := json.NewDecoder(r.Body).Decode(&set); err != nil {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		imported, err := ImportSet(n.store, set)
+		msg, err := DecodePartials(body)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		imported, err := ImportSet(n.store, msg.Set)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return

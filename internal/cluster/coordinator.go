@@ -197,12 +197,7 @@ func (c *Coordinator) fanOut(ctx context.Context, req *PartialsRequest) ([]nodeR
 		wg.Add(1)
 		go func(r *nodeReply, p *peer) {
 			defer wg.Done()
-			resp := &PartialsResponse{}
-			if err := p.postJSON(ctx, "/cluster/partials", req, resp, true); err != nil {
-				r.err = err
-				return
-			}
-			r.resp = resp
+			r.resp, r.err = p.postPartials(ctx, "/cluster/partials", req)
 		}(&replies[i], p)
 	}
 	wg.Wait()
@@ -408,7 +403,7 @@ func (c *Coordinator) ForwardBytes(ctx context.Context, nodeID string, body []by
 	if p == nil {
 		return sum, fmt.Errorf("cluster: no peer %q in routing table", nodeID)
 	}
-	if err := p.do(ctx, http.MethodPost, "/cluster/ingest", "application/octet-stream", body, &sum, false); err != nil {
+	if err := p.do(ctx, http.MethodPost, "/cluster/ingest", "application/octet-stream", body, decodeJSON(&sum), false); err != nil {
 		return sum, err
 	}
 	if c.forwarded != nil {

@@ -137,10 +137,8 @@ func (c *Coordinator) Join(ctx context.Context, next *Table) (*JoinReport, error
 				return rep, err
 			}
 		} else {
-			resp := struct {
-				Set profstore.PartialSet `json:"set"`
-			}{}
-			if err := c.peerFor(n).postJSON(ctx, "/cluster/export", &ExportRequest{Table: next}, &resp, true); err != nil {
+			resp, err := c.peerFor(n).postPartials(ctx, "/cluster/export", &ExportRequest{Table: next})
+			if err != nil {
 				return rep, fmt.Errorf("cluster: export from %s: %w", n.ID, err)
 			}
 			set = resp.Set
@@ -200,7 +198,8 @@ func (c *Coordinator) Join(ctx context.Context, next *Table) (*JoinReport, error
 		resp := struct {
 			Imported int `json:"imported"`
 		}{}
-		if err := c.peerFor(node).postJSON(ctx, "/cluster/import", set, &resp, true); err != nil {
+		msg := EncodePartials(&PartialsResponse{Set: *set})
+		if err := c.peerFor(node).do(ctx, http.MethodPost, "/cluster/import", "application/octet-stream", msg, decodeJSON(&resp), true); err != nil {
 			return rep, fmt.Errorf("cluster: import at %s: %w", dest, err)
 		}
 		rep.Imported[dest] = resp.Imported
@@ -216,7 +215,7 @@ func (c *Coordinator) Join(ctx context.Context, next *Table) (*JoinReport, error
 		resp := struct {
 			Generation uint64 `json:"generation"`
 		}{}
-		if err := c.peerFor(n).postJSON(ctx, "/cluster/table", next, &resp, true); err != nil {
+		if err := c.peerFor(n).postJSON(ctx, "/cluster/table", next, decodeJSON(&resp), true); err != nil {
 			return rep, fmt.Errorf("cluster: commit at %s: %w", n.ID, err)
 		}
 	}
@@ -238,7 +237,7 @@ func (c *Coordinator) Join(ctx context.Context, next *Table) (*JoinReport, error
 		resp := struct {
 			Dropped int `json:"dropped"`
 		}{}
-		if err := c.peerFor(n).do(ctx, http.MethodPost, "/cluster/drop", "", nil, &resp, true); err != nil {
+		if err := c.peerFor(n).do(ctx, http.MethodPost, "/cluster/drop", "", nil, decodeJSON(&resp), true); err != nil {
 			return rep, fmt.Errorf("cluster: drop at %s: %w", n.ID, err)
 		}
 		rep.Dropped[n.ID] = resp.Dropped

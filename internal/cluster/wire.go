@@ -40,7 +40,8 @@ type PartialsRequest struct {
 	SinceNS   int64 `json:"since_ns,omitempty"`
 }
 
-// PartialsResponse is one node's answer.
+// PartialsResponse is one node's answer. Peers exchange it as a peer-wire
+// message (peerwire.go); its JSON tags serve tooling only.
 type PartialsResponse struct {
 	Set      profstore.PartialSet    `json:"set"`
 	Before   *profstore.DiffPartials `json:"before,omitempty"`

@@ -11,8 +11,13 @@ package profstore
 // implementation. A cluster of N therefore answers byte-identical to one
 // node holding the same data, which the multi-node equivalence matrix pins.
 //
-// The same partial encoding doubles as the handoff payload: a node joining
-// the cluster imports moved series with replace semantics (idempotent under
+// A partial's tree is its profdb v4 database. Between nodes, partials
+// travel in internal/cluster's binary peer wire, which carries those bytes
+// verbatim and aggregates and findings as exact float bits; the partial
+// types' JSON tags serve tooling, never a peer.
+//
+// The same partials double as the handoff payload: a node joining the
+// cluster imports moved series with replace semantics (idempotent under
 // re-delivery) plus their trend-tracker state, and the old owner drops what
 // it no longer owns after the routing table commits.
 
@@ -45,10 +50,10 @@ type PartialBucket struct {
 	DurNS   int64 `json:"dur_ns"`
 }
 
-// AggData is the wire form of a close-time series aggregate (index.go's
-// seriesAgg): parallel label/kind rows with one metric-sum vector each.
-// JSON float64 round-trips are exact, so a folded aggregate is bit-equal
-// whether it traveled or not.
+// AggData is the exported form of a close-time series aggregate (index.go's
+// seriesAgg): parallel label/kind rows with one metric-sum vector each. The
+// peer wire carries every sum's exact IEEE-754 bits, so a folded aggregate
+// is bit-equal whether it traveled or not.
 type AggData struct {
 	Labels  []string    `json:"labels"`
 	Kinds   []string    `json:"kinds"`
