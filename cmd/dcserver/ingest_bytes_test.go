@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"deepcontext/internal/cct"
 	"deepcontext/internal/cluster"
 	"deepcontext/internal/profdb"
 	"deepcontext/internal/profiler"
@@ -86,6 +87,14 @@ func TestIngestFailureStatusCodes(t *testing.T) {
 	defer ts.Close()
 
 	p := testProfile("UNet", 1)
+	// A record whose node carries a metric slot past its one metric name:
+	// it once decoded cleanly and then panicked the merge.
+	extra := testProfile("UNet", 1)
+	extra.Tree.Visit(func(n *cct.Node) {
+		if len(n.Children()) == 0 {
+			n.Excl = append(n.Excl[:extra.Tree.Schema.Len():extra.Tree.Schema.Len()], cct.Metric{Sum: 1, Count: 1})
+		}
+	})
 	endpoints := []struct {
 		path    string
 		good    []byte
@@ -95,10 +104,12 @@ func TestIngestFailureStatusCodes(t *testing.T) {
 			[]byte("definitely not a profile"),
 			dcpBytes(t, p)[:40],
 			append(dcpBytes(t, p), 0),
+			dcpBytes(t, extra),
 		}},
 		{"/cluster/ingest", forwardBytes(t, p), [][]byte{
 			[]byte("definitely not a forward batch"),
 			forwardBytes(t, p)[:60],
+			forwardBytes(t, extra),
 		}},
 		{"/stream?session=codes", streamBytes(t, p), [][]byte{
 			[]byte("definitely not a stream"),

@@ -258,11 +258,14 @@ func queryInt(r *http.Request, name string, def int) int {
 	return def
 }
 
-// POST /ingest — body is a .dcp database (single profile or v2 bundle);
-// every contained profile is folded into the current window. In cluster
-// mode the handler is the ingest router: entries this node owns land
-// locally, the rest travel to their owning node as one forwarded batch
-// per destination.
+// POST /ingest — body is a .dcp database (one profile or a bundle); every
+// contained profile is folded into the current window. The body is
+// validated whole and each profile planned from its bytes in the same pass
+// (profdb.PlanBundle), so no tree is built: the plan folds straight into
+// the window tree, and the bytes are the WAL record. In cluster mode the
+// handler is the ingest router: entries this node owns land locally, the
+// rest travel, as the same bytes, to their owning node as one forwarded
+// batch per destination.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -278,27 +281,27 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	entries, err := profdb.DecodeBundle(raw)
+	planned, err := profdb.PlanBundle(raw)
 	if err != nil {
 		writeIngestError(w, err)
 		return
 	}
+	defer planned.Release()
 	var out cluster.IngestSummary
 	seenWin := map[string]bool{}
 	forwards := forwardSet{}
-	for _, e := range entries {
-		// The bytes just validated by decoding are what gets logged or
-		// forwarded; the profile is not encoded again on this node.
+	for i := range planned.Records {
+		// The bytes just validated are what gets logged or forwarded; the
+		// profile is not encoded again on this node.
+		rec := &planned.Records[i]
+		labels := profstore.LabelsOf(rec.Meta)
 		if s.cluster != nil {
-			if owner := s.cluster.OwnerOf(profstore.LabelsOf(e.Profile.Meta)); owner != s.cluster.Self() {
-				if err := forwards.to(owner).Add(e.Profile, e.Encoded()); err != nil {
-					writeError(w, http.StatusInternalServerError, err)
-					return
-				}
+			if owner := s.cluster.OwnerOf(labels); owner != s.cluster.Self() {
+				forwards.to(owner).AddEncoded(rec.Meta, rec.Encoded())
 				continue
 			}
 		}
-		start, err := s.store.Ingest(e.Profile, e.Encoded())
+		start, err := s.store.IngestPlan(labels, rec.Plan, rec.Encoded())
 		if err != nil {
 			// The body decoded, so what is left to fail is this node's
 			// durability (layout check, WAL append): not the client's fault.
@@ -306,7 +309,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		out.Ingested++
-		out.Series = append(out.Series, profstore.LabelsOf(e.Profile.Meta).Key())
+		out.Series = append(out.Series, labels.Key())
 		if ws := start.Format(time.RFC3339Nano); !seenWin[ws] {
 			seenWin[ws] = true
 			out.Windows = append(out.Windows, ws)

@@ -339,7 +339,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			if s.cluster != nil {
 				if owner := s.cluster.OwnerOf(profstore.LabelsOf(f.Meta)); owner != s.cluster.Self() {
-					if err := fwd.to(owner).Add(p, nil); err != nil {
+					if err := fwd.to(owner).Add(p); err != nil {
 						s.streams.drop(sess, "forward_encode_error")
 						writeError(w, http.StatusInternalServerError, err)
 						return
@@ -349,8 +349,8 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			// Prepare snapshots the materialized profile (encode for the
-			// WAL, normalize addresses) immediately: the session base
-			// mutates in place when the next delta frame applies.
+			// WAL, plan the merge) immediately: the session base mutates
+			// in place when the next delta frame applies.
 			pp, err := s.store.Prepare(p)
 			if err != nil {
 				// The frame applied, so this is the store refusing (layout

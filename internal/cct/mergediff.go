@@ -11,6 +11,8 @@ package cct
 // so shards may be combined in any grouping — the property the parallel
 // batch runner relies on when it merges worker results as they finish.
 
+import "sync"
+
 // Merge folds src into dst: src's metric schema is unified into dst's (IDs
 // are remapped by name), src's structure is unioned into dst's (frames unify
 // by their equivalence key), and per-node aggregates are combined with the
@@ -61,57 +63,45 @@ func deltaMetric(a, b Metric) Metric {
 	return Metric{Sum: d, Count: n, Min: d, Max: d, Mean: d / float64(n)}
 }
 
-// MapFrames returns a new tree whose frames are transformed by fn; nodes
-// whose transformed frames collide under the unification key are merged
-// (metrics combine, children interleave). Metric sums are conserved. The
-// input is not modified.
-func MapFrames(t *Tree, fn func(Frame) Frame) *Tree {
-	out := New()
-	remap := remapInto(out.Schema, t.Schema)
-	size := out.Schema.Len()
-	var rec func(dst, src *Node)
-	rec = func(dst, src *Node) {
-		// dst nodes are fresh (or, on a unification collision, already
-		// full-size), so size the arrays in one allocation each instead of
-		// ensure's incremental growth — this clone runs on every ingest.
-		if len(dst.Excl) < size {
-			dst.Excl = make([]Metric, size)
-		}
-		if len(dst.Incl) < size {
-			dst.Incl = make([]Metric, size)
-		}
-		for i, m := range src.Excl {
-			if !m.Empty() {
-				dst.Excl[remap[i]].Merge(m)
-			}
-		}
-		for i, m := range src.Incl {
-			if !m.Empty() {
-				dst.Incl[remap[i]].Merge(m)
-			}
-		}
-		for _, c := range src.order {
-			rec(out.child(dst, fn(c.Frame)), c)
-		}
+// NormalizeAddresses returns a new tree with every address-unified frame
+// re-keyed by NormalizeFrame; nodes whose normalized frames collide under
+// the unification key are merged (metrics combine, children interleave), so
+// metric sums are conserved. The input is not modified. Within one process
+// the paper's lib+PC rule is exact, but PCs are not comparable across runs
+// or machines — code layout shifts — so profiles must be normalized before
+// a cross-run Merge or Diff, or identical kernels appear as disjoint
+// contexts. It is a Plan built from t, merged into an empty tree. It panics
+// on a tree whose nodes carry more metric slots than its schema has names,
+// which no Tree method builds.
+func NormalizeAddresses(t *Tree) *Tree {
+	p := normalizePlans.Get().(*Plan)
+	defer func() {
+		p.Reset()
+		normalizePlans.Put(p)
+	}()
+	if err := p.FromTree(t); err != nil {
+		panic("cct: NormalizeAddresses: " + err.Error())
 	}
-	rec(out.Root, t.Root)
+	out := New()
+	out.MergePlan(p)
 	return out
 }
 
-// NormalizeAddresses re-keys address-unified frames (native, GPU-API,
-// kernel, instruction) by a hash of their stable identity (name and library)
-// instead of the run-specific program counter. Within one process the
-// paper's lib+PC rule is exact, but PCs are not comparable across runs or
-// machines — code layout shifts — so profiles must be normalized before a
-// cross-run Merge or Diff, or identical kernels appear as disjoint contexts.
-func NormalizeAddresses(t *Tree) *Tree {
-	return MapFrames(t, func(f Frame) Frame {
-		switch f.Kind {
-		case KindNative, KindGPUAPI, KindKernel, KindInstruction:
-			f.PC = stableID2(f.Name, f.Lib)
-		}
-		return f
-	})
+// normalizePlans recycles NormalizeAddresses' plans: a fresh plan's sibling
+// index grows from nothing on every call.
+var normalizePlans = sync.Pool{New: func() any { return new(Plan) }}
+
+// NormalizeFrame re-keys an address-unified frame (native, GPU-API, kernel,
+// instruction) by a hash of its stable identity — name and library —
+// instead of its run-specific program counter, and returns any other frame
+// unchanged. It is the one normalization rule: the store folds every
+// profile through it, by way of a Plan.
+func NormalizeFrame(f Frame) Frame {
+	switch f.Kind {
+	case KindNative, KindGPUAPI, KindKernel, KindInstruction:
+		f.PC = stableID2(f.Name, f.Lib)
+	}
+	return f
 }
 
 // stableID is FNV-1a, a deterministic stand-in for an address.
@@ -120,7 +110,7 @@ func stableID(s string) uint64 {
 }
 
 // stableID2 hashes a+"@"+b without building the joined string — it runs
-// once per address-unified node on every ingest's normalization clone.
+// once per address-unified node of every ingested profile.
 // The digest is identical to stableID(a+"@"+b).
 func stableID2(a, b string) uint64 {
 	h := fnvStr(14695981039346656037, a)

@@ -237,12 +237,24 @@ func TestDiffInvertsMergeOnTotals(t *testing.T) {
 	}
 }
 
-func TestMapFramesConservesMetrics(t *testing.T) {
+// Random trees hold kernels named alike at different PCs, which normalize
+// into one node: totals are conserved, and a normalized tree normalizes to
+// an equal copy.
+func TestNormalizeAddressesConservesMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := randTree(rng)
-	mapped := MapFrames(a, func(f Frame) Frame { return f })
-	if !treesEquivalent(t, a, mapped) {
-		t.Fatal("identity MapFrames changed the tree")
+	for i := 0; i < 40; i++ {
+		a := randTree(rng)
+		norm := NormalizeAddresses(a)
+		for _, name := range a.Schema.Names() {
+			ida, _ := a.Schema.Lookup(name)
+			idn, _ := norm.Schema.Lookup(name)
+			if a.Root.InclValue(ida) != norm.Root.InclValue(idn) {
+				t.Fatalf("tree %d: %s total %v -> %v", i, name, a.Root.InclValue(ida), norm.Root.InclValue(idn))
+			}
+		}
+		if !treesEquivalent(t, norm, NormalizeAddresses(norm)) {
+			t.Fatalf("tree %d: normalizing a normalized tree changed it", i)
+		}
 	}
 }
 

@@ -128,24 +128,27 @@ func NewForwarder() *Forwarder {
 	return &Forwarder{batch: profdb.StreamBatch{Seq: 1}}
 }
 
-// Add puts one profile into the batch. full, when the router still holds
-// the profdb bytes it decoded p from (profdb.Entry.Encoded), travels as
-// is; with nil the profile is encoded now.
-func (f *Forwarder) Add(p *profiler.Profile, full []byte) error {
-	if full == nil {
-		var err error
-		if full, err = persist.EncodeProfile(p); err != nil {
-			return fmt.Errorf("cluster: encode forward: %w", err)
-		}
+// Add puts one profile into the batch, encoded now.
+func (f *Forwarder) Add(p *profiler.Profile) error {
+	full, err := persist.EncodeProfile(p)
+	if err != nil {
+		return fmt.Errorf("cluster: encode forward: %w", err)
 	}
+	f.AddEncoded(p.Meta, full)
+	return nil
+}
+
+// AddEncoded puts one profile into the batch as the profdb bytes the
+// router received and validated it as (profdb.Planned.Encoded), with its
+// metadata.
+func (f *Forwarder) AddEncoded(meta profiler.Meta, full []byte) {
 	f.batch.Frames = append(f.batch.Frames, profdb.StreamFrame{
 		Magic: profdb.FormatMagicV3,
 		Epoch: 1,
 		Seq:   uint64(len(f.batch.Frames) + 1),
-		Meta:  p.Meta,
+		Meta:  meta,
 		Full:  full,
 	})
-	return nil
 }
 
 // Len is how many profiles the batch holds.
@@ -164,7 +167,7 @@ func (f *Forwarder) Bytes() ([]byte, error) {
 func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
 	fw := NewForwarder()
 	for _, p := range profs {
-		if err := fw.Add(p, nil); err != nil {
+		if err := fw.Add(p); err != nil {
 			return nil, err
 		}
 	}
@@ -174,10 +177,10 @@ func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
 // ApplyForward ingests a forwarded batch stream: gob-framed StreamBatches
 // of full frames, applied through the store's prepared-batch path (one
 // shard-lock acquisition per shard per batch). Each frame's Full bytes are
-// decoded once and, being what was validated, logged as this node's WAL
-// payload. Delta frames are rejected — forwards are stateless by design.
-// Errors matching profdb.ErrCorrupt or ErrTooLarge are the sender's fault;
-// anything else is this node failing to store.
+// planned once, with no tree built, and, being what was validated, logged
+// as this node's WAL payload. Delta frames are rejected — forwards are
+// stateless by design. Errors matching profdb.ErrCorrupt or ErrTooLarge
+// are the sender's fault; anything else is this node failing to store.
 func ApplyForward(store *profstore.Store, r io.Reader, maxBytes int64) (IngestSummary, error) {
 	var sum IngestSummary
 	dec := gob.NewDecoder(r)
@@ -193,29 +196,11 @@ func ApplyForward(store *profstore.Store, r io.Reader, maxBytes int64) (IngestSu
 		if batch.Close {
 			return sum, nil
 		}
-		prep := make([]profstore.PreparedProfile, 0, len(batch.Frames))
-		series := make([]string, 0, len(batch.Frames))
-		for i := range batch.Frames {
-			f := &batch.Frames[i]
-			if f.Delta {
-				return sum, fmt.Errorf("cluster: forward batch carries a delta frame (seq %d): %w", f.Seq, profdb.ErrCorrupt)
-			}
-			entries, err := profdb.DecodeBundleLimit(f.Full, maxBytes)
-			if err != nil {
-				return sum, fmt.Errorf("cluster: forward frame decode: %w", err)
-			}
-			pp, err := store.Prepare(entries[0].Profile, entries[0].Encoded())
-			if err != nil {
-				return sum, fmt.Errorf("cluster: forward ingest: %w", err)
-			}
-			prep = append(prep, pp)
-			series = append(series, profstore.LabelsOf(entries[0].Profile.Meta).Key())
-		}
-		starts, err := store.IngestPrepared(prep)
+		starts, series, err := applyForwardBatch(store, batch, maxBytes)
 		if err != nil {
-			return sum, fmt.Errorf("cluster: forward ingest: %w", err)
+			return sum, err
 		}
-		sum.Ingested += len(prep)
+		sum.Ingested += len(series)
 		sum.Series = append(sum.Series, series...)
 		for _, start := range starts {
 			if ws := start.Format(time.RFC3339Nano); !seenWin[ws] {
@@ -224,4 +209,42 @@ func ApplyForward(store *profstore.Store, r io.Reader, maxBytes int64) (IngestSu
 			}
 		}
 	}
+}
+
+// applyForwardBatch plans every frame of one forward batch into pooled
+// plans and ingests them as one prepared batch, returning each profile's
+// window start and series key.
+func applyForwardBatch(store *profstore.Store, batch *profdb.StreamBatch, maxBytes int64) ([]time.Time, []string, error) {
+	prep := make([]profstore.PreparedProfile, 0, len(batch.Frames))
+	series := make([]string, 0, len(batch.Frames))
+	planned := make([]*profdb.Plans, 0, len(batch.Frames))
+	defer func() {
+		for _, ps := range planned {
+			ps.Release()
+		}
+	}()
+	for i := range batch.Frames {
+		f := &batch.Frames[i]
+		if f.Delta {
+			return nil, nil, fmt.Errorf("cluster: forward batch carries a delta frame (seq %d): %w", f.Seq, profdb.ErrCorrupt)
+		}
+		ps, err := profdb.PlanBundleLimit(f.Full, maxBytes)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cluster: forward frame decode: %w", err)
+		}
+		planned = append(planned, ps)
+		rec := &ps.Records[0]
+		labels := profstore.LabelsOf(rec.Meta)
+		pp, err := store.PreparePlan(labels, rec.Plan, rec.Encoded())
+		if err != nil {
+			return nil, nil, fmt.Errorf("cluster: forward ingest: %w", err)
+		}
+		prep = append(prep, pp)
+		series = append(series, labels.Key())
+	}
+	starts, err := store.IngestPrepared(prep)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: forward ingest: %w", err)
+	}
+	return starts, series, nil
 }

@@ -53,15 +53,27 @@ func unflatten(ff *fileFormat) (*profiler.Profile, error) {
 	for _, name := range ff.Metrics {
 		tree.Schema.ID(name)
 	}
+	// The rules v4 records are held to: a slot per metric name at most, no
+	// name twice, no two siblings that unify.
+	if tree.Schema.Len() != len(ff.Metrics) {
+		return nil, fmt.Errorf("profdb: a metric name appears twice: %w", ErrCorrupt)
+	}
 	nodes := make([]*cct.Node, len(ff.Nodes))
 	for i, fn := range ff.Nodes {
+		if len(fn.Excl) > len(ff.Metrics) || len(fn.Incl) > len(ff.Metrics) {
+			return nil, fmt.Errorf("profdb: node %d carries more metric slots than the %d metric names: %w", i, len(ff.Metrics), ErrCorrupt)
+		}
 		if fn.Parent < 0 {
 			nodes[i] = tree.Root
 		} else {
 			if fn.Parent >= i || nodes[fn.Parent] == nil {
 				return nil, fmt.Errorf("profdb: node %d has invalid parent %d: %w", i, fn.Parent, ErrCorrupt)
 			}
+			before := tree.NodeCount()
 			nodes[i] = tree.InsertUnder(nodes[fn.Parent], []cct.Frame{fn.Frame})
+			if tree.NodeCount() == before {
+				return nil, fmt.Errorf("profdb: node %d unifies with an earlier sibling: %w", i, ErrCorrupt)
+			}
 		}
 		nodes[i].Excl = fn.Excl
 		nodes[i].Incl = fn.Incl

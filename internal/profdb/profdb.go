@@ -64,13 +64,17 @@ type Entry struct {
 // record — so a server can log or forward what it validated instead of
 // encoding the profile again. It returns nil for an entry that was not
 // decoded from v4 bytes. The result aliases the decoder's input.
-func (e Entry) Encoded() []byte {
-	if e.body != nil || e.record == nil {
-		return e.body
+func (e Entry) Encoded() []byte { return standalone(e.record, e.body) }
+
+// standalone returns body when set, otherwise a fresh single-record
+// database around record (nil when both are nil).
+func standalone(record, body []byte) []byte {
+	if body != nil || record == nil {
+		return body
 	}
-	b := make([]byte, 0, len(FormatMagic)+2*binary.MaxVarintLen32+len(e.record))
-	b = binary.AppendUvarint(appendHeader(b, 1), uint64(len(e.record)))
-	return append(b, e.record...)
+	b := make([]byte, 0, len(FormatMagic)+2*binary.MaxVarintLen32+len(record))
+	b = binary.AppendUvarint(appendHeader(b, 1), uint64(len(record)))
+	return append(b, record...)
 }
 
 // SaveBundle writes the named profiles to w as one database.
@@ -118,13 +122,21 @@ func LoadBundleLimit(r io.Reader, maxBytes int64) ([]Entry, error) {
 // DecodeBundleLimit is DecodeBundle behind the same size cap as
 // LoadBundleLimit, for payloads that arrive inside another message.
 func DecodeBundleLimit(data []byte, maxBytes int64) ([]Entry, error) {
+	if err := checkLimit(data, maxBytes); err != nil {
+		return nil, err
+	}
+	return DecodeBundle(data)
+}
+
+// checkLimit refuses data over maxBytes (0 selects DefaultMaxBytes).
+func checkLimit(data []byte, maxBytes int64) error {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
 	if int64(len(data)) > maxBytes {
-		return nil, fmt.Errorf("profdb: input larger than %d bytes: %w", maxBytes, ErrTooLarge)
+		return fmt.Errorf("profdb: input larger than %d bytes: %w", maxBytes, ErrTooLarge)
 	}
-	return DecodeBundle(data)
+	return nil
 }
 
 // DecodeBundle decodes every profile of a database already in memory,

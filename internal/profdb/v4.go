@@ -356,14 +356,27 @@ func (s *metricSlab) take(n, remaining int) []cct.Metric {
 	return out
 }
 
-func (r *reader) metrics(slab *metricSlab) []cct.Metric {
+// slotCount reads a node's metric slot count. A slot beyond the record's
+// metric names would measure no metric, so names bounds it.
+func (r *reader) slotCount(names int) int {
 	n := r.count("metric slots", 1)
-	ms := slab.take(n, r.remaining())
+	if n > names {
+		r.fail("%d metric slots for %d metric names before byte %d", n, names, r.off)
+		return 0
+	}
+	return n
+}
+
+// slots decodes len(ms) metric slots into ms, which the caller zeroed.
+func (r *reader) slots(ms []cct.Metric) {
+	if r.err != nil {
+		return
+	}
 	b, off := r.b, r.off
 	for i := range ms {
 		if off >= len(b) {
 			r.fail("truncated metric slot at byte %d", off)
-			return nil
+			return
 		}
 		marker := b[off]
 		off++
@@ -380,12 +393,34 @@ func (r *reader) metrics(slab *metricSlab) []cct.Metric {
 		}
 		if marker != 1 || off < 0 {
 			r.fail("bad metric slot %d before byte %d", i, r.off)
-			return nil
+			return
 		}
 		ms[i] = cct.Metric{Sum: floatOf(v[0]), Min: floatOf(v[1]), Max: floatOf(v[2]), Count: unzigzag(v[3]), Mean: floatOf(v[4]), M2: floatOf(v[5])}
 	}
 	r.off = off
+}
+
+func (r *reader) metrics(slab *metricSlab, names int) []cct.Metric {
+	ms := slab.take(r.slotCount(names), r.remaining())
+	r.slots(ms)
 	return ms
+}
+
+// checkNode holds node i to the record's structure: node 0, and only node
+// 0, is a root; every other node names an earlier node as its parent
+// (parent is that index plus one) and has a valid kind.
+func (r *reader) checkNode(i int, parent uint64, kind cct.FrameKind) {
+	switch {
+	case i == 0 && (parent != 0 || kind != cct.KindRoot):
+		r.fail("node 0 is not a root")
+	case i == 0:
+	case parent == 0:
+		r.fail("node %d is a second root", i)
+	case parent > uint64(i):
+		r.fail("node %d names parent %d, which does not precede it", i, parent-1)
+	case !kind.Valid():
+		r.fail("node %d has invalid frame kind %d", i, kind)
+	}
 }
 
 // decodeRecord decodes one record, which must fill rec exactly.
@@ -400,8 +435,13 @@ func decodeRecord(rec []byte) (string, *profiler.Profile, error) {
 	p.FootprintBytes = r.varint()
 
 	tree := cct.New()
-	for i, n := 0, r.count("metric names", 1); i < n; i++ {
-		tree.Schema.ID(r.str())
+	names := r.count("metric names", 1)
+	for i := 0; i < names; i++ {
+		name := r.str()
+		if _, dup := tree.Schema.Lookup(name); dup && r.err == nil {
+			r.fail("metric name %q appears twice", name)
+		}
+		tree.Schema.ID(name)
 	}
 
 	if n := r.count("fused operators", 2); n > 0 {
@@ -447,27 +487,22 @@ func decodeRecord(rec []byte) (string, *profiler.Profile, error) {
 		parent := r.uvarint()
 		f := cct.Frame{Kind: cct.FrameKind(r.byte())}
 		f.Name, f.File, f.Line, f.Lib, f.PC = ref(), ref(), int(r.varint()), ref(), r.uvarint()
-		excl := r.metrics(&slab)
-		incl := r.metrics(&slab)
-		if r.err != nil {
+		excl := r.metrics(&slab, names)
+		incl := r.metrics(&slab, names)
+		if r.checkNode(i, parent, f.Kind); r.err != nil {
 			break
 		}
-		switch {
-		case i == 0 && (parent != 0 || f.Kind != cct.KindRoot):
-			r.fail("node 0 is not a root")
-		case i == 0:
+		if i == 0 {
 			nodes[0] = tree.Root
-		case parent == 0:
-			r.fail("node %d is a second root", i)
-		case parent > uint64(i):
-			r.fail("node %d names parent %d, which does not precede it", i, parent-1)
-		case !f.Kind.Valid():
-			r.fail("node %d has invalid frame kind %d", i, f.Kind)
-		default:
+		} else {
+			before := tree.NodeCount()
 			nodes[i] = tree.InsertUnder(nodes[parent-1], []cct.Frame{f})
-		}
-		if r.err != nil {
-			break
+			if tree.NodeCount() == before {
+				// Merging the two would let the second's slots overwrite
+				// the first's; the encoder never writes such siblings.
+				r.fail("node %d unifies with an earlier sibling", i)
+				break
+			}
 		}
 		nodes[i].Excl, nodes[i].Incl = excl, incl
 	}

@@ -15,7 +15,8 @@
 //	  CURRENT                         name of the live snapshot directory
 //
 // WAL records reuse the profdb binary encoding (the same size-capped,
-// fuzz-hardened decoder guards recovery) inside a minimal frame:
+// fuzz-hardened reader that /ingest plans bodies with guards recovery)
+// inside a minimal frame:
 // a little-endian uint32 length, a uint32 IEEE CRC of the body, and the
 // body itself — an 8-byte ingest timestamp followed by the profdb bytes.
 // Segments rotate per window bucket, so pruning a retired window is one

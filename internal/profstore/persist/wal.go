@@ -401,6 +401,21 @@ type ReplayStats struct {
 // an error) is skipped individually. Neither aborts the replay: recovery
 // must never crash on corrupt input.
 func (w *WAL) Replay(covered map[int64]int64, fn func(start, tstamp int64, p *profiler.Profile) error) (ReplayStats, error) {
+	return w.ReplayRecords(covered, func(start, tstamp int64, payload []byte) error {
+		p, err := DecodeProfile(payload)
+		if err != nil {
+			return err
+		}
+		return fn(start, tstamp, p)
+	})
+}
+
+// ReplayRecords is Replay handing fn each record's payload — the profdb
+// bytes EncodeProfile wrote — instead of a decoded profile, for a caller
+// that plans records from bytes. payload is valid only during the call.
+// An error from fn skips the record; one matching profdb.ErrCorrupt is
+// reported as undecodable.
+func (w *WAL) ReplayRecords(covered map[int64]int64, fn func(start, tstamp int64, payload []byte) error) (ReplayStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var stats ReplayStats
@@ -408,33 +423,36 @@ func (w *WAL) Replay(covered map[int64]int64, fn func(start, tstamp int64, p *pr
 	if err != nil {
 		return stats, err
 	}
+	var buf []byte
 	for _, start := range starts {
 		stats.Segments++
-		w.replaySegment(start, covered[start], fn, &stats)
+		buf = w.replaySegment(start, covered[start], fn, &stats, buf)
 	}
 	return stats, nil
 }
 
-func (w *WAL) replaySegment(start, offset int64, fn func(start, tstamp int64, p *profiler.Profile) error, stats *ReplayStats) {
+// replaySegment replays one segment, reading records into buf (grown as
+// needed and returned for the next segment).
+func (w *WAL) replaySegment(start, offset int64, fn func(start, tstamp int64, payload []byte) error, stats *ReplayStats, buf []byte) []byte {
 	name := segName(start)
 	f, err := os.Open(filepath.Join(w.dir, name))
 	if err != nil {
 		stats.SkippedSegments++
 		stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: open: %v", name, err))
-		return
+		return buf
 	}
 	defer f.Close()
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
 		stats.SkippedSegments++
 		stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: bad header, skipping segment", name))
-		return
+		return buf
 	}
 	if offset > int64(len(segMagic)) {
 		if _, err := f.Seek(offset, io.SeekStart); err != nil {
 			stats.SkippedSegments++
 			stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: seek %d: %v", name, offset, err))
-			return
+			return buf
 		}
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
@@ -445,38 +463,39 @@ func (w *WAL) replaySegment(start, offset int64, fn func(start, tstamp int64, p 
 				stats.SkippedSegments++
 				stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: torn frame header, dropping tail", name))
 			}
-			return
+			return buf
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:])
 		sum := binary.LittleEndian.Uint32(hdr[4:])
 		if length < 8 || int64(length) > maxRecordBytes {
 			stats.SkippedSegments++
 			stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: implausible record length %d, dropping tail", name, length))
-			return
+			return buf
 		}
-		body := make([]byte, length)
+		if cap(buf) < int(length) {
+			buf = make([]byte, length)
+		}
+		body := buf[:length]
 		if _, err := io.ReadFull(r, body); err != nil {
 			stats.SkippedSegments++
 			stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: truncated record, dropping tail", name))
-			return
+			return buf
 		}
 		if crc32.ChecksumIEEE(body) != sum {
 			stats.SkippedSegments++
 			stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: CRC mismatch, dropping tail", name))
-			return
+			return buf
 		}
 		tstamp := int64(binary.LittleEndian.Uint64(body[:8]))
-		p, err := DecodeProfile(body[8:])
-		if err != nil {
+		if err := fn(start, tstamp, body[8:]); err != nil {
 			// Framing is intact, so the next record is trustworthy:
 			// skip just this one.
 			stats.SkippedRecords++
-			stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: undecodable record skipped: %v", name, err))
-			continue
-		}
-		if err := fn(start, tstamp, p); err != nil {
-			stats.SkippedRecords++
-			stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: record rejected: %v", name, err))
+			if errors.Is(err, profdb.ErrCorrupt) {
+				stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: undecodable record skipped: %v", name, err))
+			} else {
+				stats.Warnings = append(stats.Warnings, fmt.Sprintf("wal segment %s: record rejected: %v", name, err))
+			}
 			continue
 		}
 		stats.Records++

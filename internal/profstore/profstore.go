@@ -2,8 +2,9 @@
 // profiles from many concurrent clients and aggregates them into
 // time-bucketed rolling windows, one merged calling context tree per
 // (workload, vendor, framework) label set per window. Profiles are
-// normalized at ingest (cct.NormalizeAddresses) so runs from different
-// processes and machines unify, the same fleet-aggregation model as
+// normalized at ingest (cct.NormalizeFrame, applied as a cct.Plan is built)
+// so runs from different processes and machines unify, the same
+// fleet-aggregation model as
 // datacenter-wide profilers: the store's size is proportional to distinct
 // calling contexts per window, not to the number of profiles received.
 //
@@ -392,8 +393,8 @@ func CommittedShards(dir string) (int, bool) {
 
 // Ingest folds p into the current fine window of its series' shard and
 // returns that window's start. The profile's address-unified frames are
-// normalized to cross-run stable identities before merging; p itself is not
-// modified and may be discarded by the caller.
+// normalized to cross-run stable identities as it merges (see cct.Plan);
+// p itself is not modified and may be discarded by the caller.
 //
 // With persistence enabled the raw profile is appended to the shard's WAL
 // before the merge, under the same critical section, so log order equals
@@ -403,69 +404,140 @@ func CommittedShards(dir string) (int, bool) {
 // A caller that decoded p from profdb bytes passes them as encoded (see
 // profdb.Entry.Encoded): they become the WAL payload as they are, so the
 // log holds exactly what was validated and the profile is not encoded a
-// second time. Without them the store encodes p itself.
+// second time. Without them the store encodes p itself. A caller that
+// still holds the bytes needs no tree at all: see IngestPlan.
 func (s *Store) Ingest(p *profiler.Profile, encoded ...[]byte) (time.Time, error) {
 	var t0 time.Time
 	if s.met.timings {
 		t0 = time.Now()
 	}
-	// Serialization for the WAL and normalization both walk the whole
-	// tree — do them outside the lock so concurrent ingests only
-	// serialize on the (cheaper) merge and the log write.
-	pp, err := s.Prepare(p, encoded...)
+	if p == nil || p.Tree == nil {
+		return time.Time{}, fmt.Errorf("profstore: nil profile")
+	}
+	payload, err := s.payloadFor(p, encoded)
 	if err != nil {
 		return time.Time{}, err
 	}
-	start, err := s.shardFor(pp.labels.Key()).ingest(pp.labels, pp.normalized, pp.payload)
+	plan := plans.Get().(*cct.Plan)
+	defer func() {
+		plan.Reset()
+		plans.Put(plan)
+	}()
+	if err := plan.FromTree(p.Tree); err != nil {
+		return time.Time{}, fmt.Errorf("profstore: %w", err)
+	}
+	return s.ingestPlan(t0, LabelsOf(p.Meta), plan, payload)
+}
+
+// plans recycles the plans Ingest builds from trees.
+var plans = sync.Pool{New: func() any { return new(cct.Plan) }}
+
+// IngestPlan is Ingest for a profile already planned for merging — the
+// served path, which plans each record straight from the bytes it received
+// (profdb.PlanBundle) and builds no tree. Planning ran outside any lock;
+// under the shard lock the plan is one child lookup and the slot merges per
+// node. payload is the profile's WAL record (profdb.Planned.Encoded), which
+// a durable store requires and a memory-only one ignores. The plan is only
+// read and may be reused once IngestPlan returns.
+func (s *Store) IngestPlan(labels Labels, plan *cct.Plan, payload []byte) (time.Time, error) {
+	var t0 time.Time
+	if s.met.timings {
+		t0 = time.Now()
+	}
+	return s.ingestPlan(t0, labels, plan, payload)
+}
+
+func (s *Store) ingestPlan(t0 time.Time, labels Labels, plan *cct.Plan, payload []byte) (time.Time, error) {
+	payload, err := s.checkPayload(payload)
+	if err != nil {
+		return time.Time{}, err
+	}
+	key := labels.Key()
+	start, err := s.shardFor(key).ingest(key, labels, plan, payload)
 	if err == nil && s.met.timings {
 		s.met.ingestSeconds.Observe(time.Since(t0))
 	}
 	return start, err
 }
 
+// checkPayload passes the WAL payload through for a durable store, after
+// the layout check, and drops it for a memory-only one.
+func (s *Store) checkPayload(payload []byte) ([]byte, error) {
+	if s.cfg.Dir == "" {
+		return nil, nil
+	}
+	if err := s.ensureMeta(); err != nil {
+		return nil, err
+	}
+	if payload == nil {
+		return nil, fmt.Errorf("profstore: durable ingest without an encoded profile")
+	}
+	return payload, nil
+}
+
+// payloadFor returns p's WAL payload for a durable store: encoded[0] when
+// the caller has it, otherwise p encoded now. A memory-only store needs
+// none.
+func (s *Store) payloadFor(p *profiler.Profile, encoded [][]byte) ([]byte, error) {
+	if s.cfg.Dir == "" {
+		return nil, nil
+	}
+	if len(encoded) > 0 && encoded[0] != nil {
+		return encoded[0], nil
+	}
+	payload, err := persist.EncodeProfile(p)
+	if err != nil {
+		return nil, fmt.Errorf("profstore: encode for wal: %w", err)
+	}
+	return payload, nil
+}
+
 // PreparedProfile is one batch-ingest entry: the profile's series labels,
-// its normalized tree, and its WAL payload, all captured at Prepare time.
-// Because Prepare snapshots everything ingestion reads, the source profile
-// may be mutated (or delta-materialized further) before the batch lands.
+// its merge plan, and its WAL payload. Prepare captures all three from the
+// profile, so the source profile may be mutated (or delta-materialized
+// further) before the batch lands; PreparePlan borrows the caller's plan.
 type PreparedProfile struct {
-	labels     Labels
-	normalized *cct.Tree
-	payload    []byte
+	key     string // labels.Key()
+	labels  Labels
+	plan    *cct.Plan
+	payload []byte
 }
 
 // PayloadBytes reports the entry's WAL payload size (0 for a memory-only
 // store) — what one full upload of this profile costs on the wire.
 func (pp *PreparedProfile) PayloadBytes() int { return len(pp.payload) }
 
-// Prepare runs the lock-free half of Ingest — the WAL payload and address
-// normalization, both full-tree walks unless the payload arrives ready —
-// and returns an entry for IngestPrepared. The streaming ingest session
-// prepares each materialized profile as it is decoded, then applies whole
-// batches under one shard lock acquisition. encoded is as for Ingest.
+// Prepare runs the lock-free half of Ingest — the WAL payload, unless it
+// arrives ready, and the merge plan, both full-tree walks — and returns an
+// entry that owns its plan, for IngestPrepared. The streaming ingest
+// session prepares each materialized profile as it is decoded, then
+// applies whole batches under one shard lock acquisition. encoded is as
+// for Ingest.
 func (s *Store) Prepare(p *profiler.Profile, encoded ...[]byte) (PreparedProfile, error) {
 	if p == nil || p.Tree == nil {
 		return PreparedProfile{}, fmt.Errorf("profstore: nil profile")
 	}
-	var payload []byte
-	if s.cfg.Dir != "" {
-		if err := s.ensureMeta(); err != nil {
-			return PreparedProfile{}, err
-		}
-		if len(encoded) > 0 {
-			payload = encoded[0]
-		}
-		if payload == nil {
-			var err error
-			if payload, err = persist.EncodeProfile(p); err != nil {
-				return PreparedProfile{}, fmt.Errorf("profstore: encode for wal: %w", err)
-			}
-		}
+	payload, err := s.payloadFor(p, encoded)
+	if err != nil {
+		return PreparedProfile{}, err
 	}
-	return PreparedProfile{
-		labels:     LabelsOf(p.Meta),
-		normalized: cct.NormalizeAddresses(p.Tree),
-		payload:    payload,
-	}, nil
+	plan := new(cct.Plan)
+	if err := plan.FromTree(p.Tree); err != nil {
+		return PreparedProfile{}, fmt.Errorf("profstore: %w", err)
+	}
+	plan.Detach() // p may change before the batch lands
+	return s.PreparePlan(LabelsOf(p.Meta), plan, payload)
+}
+
+// PreparePlan is Prepare for a planned profile, with payload as for
+// IngestPlan. The entry borrows plan: it must stay unchanged until
+// IngestPrepared returns.
+func (s *Store) PreparePlan(labels Labels, plan *cct.Plan, payload []byte) (PreparedProfile, error) {
+	payload, err := s.checkPayload(payload)
+	if err != nil {
+		return PreparedProfile{}, err
+	}
+	return PreparedProfile{key: labels.Key(), labels: labels, plan: plan, payload: payload}, nil
 }
 
 // IngestPrepared folds a batch of prepared profiles into the store,
@@ -490,7 +562,7 @@ func (s *Store) IngestPrepared(batch []PreparedProfile) ([]time.Time, error) {
 	// store-wide lock order — though never nested.
 	byShard := make(map[int][]int)
 	for i := range batch {
-		id := s.shardFor(batch[i].labels.Key()).id
+		id := s.shardFor(batch[i].key).id
 		byShard[id] = append(byShard[id], i)
 	}
 	for _, id := range sortedKeys(byShard) {

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"deepcontext/internal/cct"
-	"deepcontext/internal/profiler"
+	"deepcontext/internal/profdb"
 	"deepcontext/internal/profstore/persist"
 	"deepcontext/internal/profstore/trend"
 )
@@ -393,14 +393,20 @@ func (s *Store) recoverSource(src string, rs *RecoveryStats) error {
 	if err != nil {
 		return fmt.Errorf("profstore: recover: %w", err)
 	}
-	rep, err := wal.Replay(offsets, func(start, tstamp int64, p *profiler.Profile) error {
-		if p == nil || p.Tree == nil {
-			return fmt.Errorf("nil profile")
+	rep, err := wal.ReplayRecords(offsets, func(start, tstamp int64, payload []byte) error {
+		// A record is planned straight from its bytes, like a served
+		// ingest; a payload holds one profile.
+		ps, err := profdb.PlanBundle(payload)
+		if err != nil {
+			return err
 		}
-		labels := LabelsOf(p.Meta)
-		sh := s.shardFor(labels.Key())
+		defer ps.Release()
+		rec := &ps.Records[0]
+		labels := LabelsOf(rec.Meta)
+		key := labels.Key()
+		sh := s.shardFor(key)
 		sh.mu.Lock()
-		sh.mergeIntoWindowLocked(time.Unix(0, start), labels, cct.NormalizeAddresses(p.Tree))
+		sh.mergeIntoWindowLocked(time.Unix(0, start), key, labels, rec.Plan)
 		sh.ingested++
 		if ts := time.Unix(0, tstamp); ts.After(sh.lastIngest) {
 			sh.lastIngest = ts

@@ -143,10 +143,10 @@ func shardDir(dataDir string, id int) string {
 	return filepath.Join(dataDir, fmt.Sprintf("shard-%d", id))
 }
 
-// ingest appends to the shard's WAL (when durable) and merges the
-// normalized tree into the current fine window. payload is nil for
-// memory-only stores.
-func (sh *shard) ingest(labels Labels, normalized *cct.Tree, payload []byte) (time.Time, error) {
+// ingest appends to the shard's WAL (when durable) and merges the plan
+// into the current fine window of the series key names. payload is nil
+// for memory-only stores.
+func (sh *shard) ingest(key string, labels Labels, plan *cct.Plan, payload []byte) (time.Time, error) {
 	var t0 time.Time
 	if sh.met.timings {
 		t0 = time.Now()
@@ -176,7 +176,7 @@ func (sh *shard) ingest(labels Labels, normalized *cct.Tree, payload []byte) (ti
 			}
 		}
 	}
-	sh.mergeIntoWindowLocked(start, labels, normalized)
+	sh.mergeIntoWindowLocked(start, key, labels, plan)
 	sh.ingested++
 	sh.lastIngest = now
 	return start, nil
@@ -217,7 +217,7 @@ func (sh *shard) ingestBatch(batch []PreparedProfile, idxs []int) (time.Time, er
 				return time.Time{}, err
 			}
 		}
-		sh.mergeIntoWindowLocked(start, batch[i].labels, batch[i].normalized)
+		sh.mergeIntoWindowLocked(start, batch[i].key, batch[i].labels, batch[i].plan)
 		sh.ingested++
 	}
 	sh.lastIngest = now
@@ -276,22 +276,21 @@ func (sh *shard) closeWindowsLocked(asOf time.Time) {
 	}
 }
 
-// mergeIntoWindowLocked folds an already-normalized tree into the fine
-// bucket starting at start and bumps its generation. Callers hold sh.mu
+// mergeIntoWindowLocked folds a planned profile into the fine bucket
+// starting at start and bumps its generation. Callers hold sh.mu
 // exclusively.
-func (sh *shard) mergeIntoWindowLocked(start time.Time, labels Labels, normalized *cct.Tree) {
+func (sh *shard) mergeIntoWindowLocked(start time.Time, key string, labels Labels, plan *cct.Plan) {
 	w := sh.fine[start.UnixNano()]
 	if w == nil {
 		w = &window{start: start, dur: sh.cfg.Window, series: make(map[string]*series)}
 		sh.fine[start.UnixNano()] = w
 	}
-	key := labels.Key()
 	ser := w.series[key]
 	if ser == nil {
 		ser = &series{labels: labels, tree: cct.New()}
 		w.series[key] = ser
 	}
-	cct.Merge(ser.tree, normalized)
+	ser.tree.MergePlan(plan)
 	// Late data into an already-closed bucket invalidates its close-time
 	// aggregate: queries fall back to the tree until the bucket next
 	// closes (compaction for fine buckets). The index keeps its old

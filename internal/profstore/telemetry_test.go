@@ -10,16 +10,29 @@ import (
 	"testing"
 	"time"
 
+	"deepcontext/internal/profdb"
 	"deepcontext/internal/telemetry"
 )
 
 // Pinned BenchmarkIngestStoreMemory profile, asserted exactly: telemetry
 // is on by default and must cost the ingest hot path nothing. Any change
 // that adds an allocation (or a byte) to Ingest shows up here before it
-// shows up in a benchmark diff.
+// shows up in a benchmark diff. The tree is planned into a pooled plan and
+// merged; nothing of the profile is copied into a second tree. What is
+// left is the series key (Labels.Key).
 const (
-	pinnedIngestAllocs = 56
-	pinnedIngestBytes  = 14304
+	pinnedIngestAllocs = 2
+	pinnedIngestBytes  = 48
+)
+
+// Pinned profile of the served byte path — plan a v4 body, append it to
+// the WAL, merge the plan — for a durable store. The series key, the
+// record's one string and the WAL frame are all it allocates; a tree built
+// on the way (a decode, a normalization clone) costs dozens of allocations
+// and shows up here.
+const (
+	pinnedBytePathAllocs = 4
+	pinnedBytePathBytes  = 624
 )
 
 // bytesPerRun is testing.AllocsPerRun's missing sibling: average bytes
@@ -54,19 +67,56 @@ func TestIngestAllocGate(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ingest()
 	}
-	// A stray runtime allocation can smear one measurement; the pin holds
-	// if any of three attempts lands exactly.
+	assertAllocPin(t, "ingest", ingest, pinnedIngestAllocs, pinnedIngestBytes)
+}
+
+// assertAllocPin checks f's per-call allocation profile exactly. A stray
+// runtime allocation can smear one measurement; the pin holds if any of
+// three attempts lands exactly.
+func assertAllocPin(t *testing.T, what string, f func(), wantAllocs int, wantBytes uint64) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector randomizes sync.Pool reuse")
+	}
 	var allocs float64
 	var bytes uint64
 	for attempt := 0; attempt < 3; attempt++ {
-		allocs = testing.AllocsPerRun(200, ingest)
-		bytes = bytesPerRun(200, ingest)
-		if allocs == pinnedIngestAllocs && bytes == pinnedIngestBytes {
+		allocs = testing.AllocsPerRun(200, f)
+		bytes = bytesPerRun(200, f)
+		if allocs == float64(wantAllocs) && bytes == wantBytes {
 			return
 		}
 	}
-	t.Fatalf("ingest profile moved: %.1f allocs/op (want %d), %d B/op (want %d)",
-		allocs, pinnedIngestAllocs, bytes, pinnedIngestBytes)
+	t.Fatalf("%s profile moved: %.1f allocs/op (want %d), %d B/op (want %d)",
+		what, allocs, wantAllocs, bytes, wantBytes)
+}
+
+func TestIngestBytePathAllocGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is slow")
+	}
+	clock := newClock(base)
+	s := New(Config{Window: time.Minute, Now: clock.Now, Dir: t.TempDir()})
+	defer s.Close()
+	body, err := profdb.EncodeBundle([]profdb.Entry{{Profile: synthProfile("UNet", "Nvidia", "pytorch", 0x1000, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func() {
+		ps, err := profdb.PlanBundle(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &ps.Records[0]
+		if _, err := s.IngestPlan(LabelsOf(rec.Meta), rec.Plan, rec.Encoded()); err != nil {
+			t.Fatal(err)
+		}
+		ps.Release()
+	}
+	for i := 0; i < 200; i++ {
+		ingest()
+	}
+	assertAllocPin(t, "byte-path ingest", ingest, pinnedBytePathAllocs, pinnedBytePathBytes)
 }
 
 // TestTelemetryScrapeRace hammers the store's write paths while scrapers
