@@ -524,9 +524,11 @@ func TestClusterJoinOverHTTP(t *testing.T) {
 }
 
 // TestClusterMixedWireVersionDegrades boots a router beside a peer of the
-// previous release, whose /cluster/partials answers indented JSON. The
-// router must not fail or misread the answer: it answers 200 from its own
-// share with the old peer named in coverage.down.
+// previous release, whose /cluster/partials answers indented JSON and whose
+// /healthz reports no peer-wire version. The router must not fail or
+// misread the answer: it answers 200 from its own share with the old peer
+// named in coverage.down, and /cluster/status shows that peer down with an
+// error naming the wire version, although its /healthz answers 200.
 func TestClusterMixedWireVersionDegrades(t *testing.T) {
 	clock := &testClock{t: testBase}
 	cfg := profstore.Config{Window: time.Minute, Now: clock.Now}
@@ -542,6 +544,12 @@ func TestClusterMixedWireVersionDegrades(t *testing.T) {
 			return
 		}
 		writeJSON(w, resp)
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, struct {
+			Status   string `json:"status"`
+			Ingested int64  `json:"ingested"`
+		}{"ok", old.Stats().Ingested})
 	})
 	legacy := httptest.NewServer(mux)
 	defer legacy.Close()
@@ -572,6 +580,27 @@ func TestClusterMixedWireVersionDegrades(t *testing.T) {
 	if !owners["n1"] || !owners["old"] {
 		t.Fatalf("series owners %v: the test needs both nodes to own data", owners)
 	}
+	checkStatus := func(when string) {
+		t.Helper()
+		var st cluster.Status
+		if err := getJSON(http.DefaultClient, router.URL+"/cluster/status", &st); err != nil {
+			t.Fatal(err)
+		}
+		if !st.Degraded || len(st.Nodes) != 2 {
+			t.Fatalf("%s: status %+v, want degraded with two nodes", when, st)
+		}
+		for _, ns := range st.Nodes {
+			switch {
+			case ns.ID == "n1" && !ns.Up:
+				t.Fatalf("%s: the router itself is down: %+v", when, ns)
+			case ns.ID == "old" && (ns.Up || !strings.Contains(ns.LastError, cluster.ErrWireVersion.Error())):
+				t.Fatalf("%s: old-release peer %+v, want down with last_error naming %q", when, ns, cluster.ErrWireVersion)
+			}
+		}
+	}
+	// Before any query the /healthz probe alone must mark the peer down;
+	// after one, the probe must not reset the query's verdict.
+	checkStatus("before a query")
 
 	var body hotspotsBody
 	if err := getJSON(http.DefaultClient, router.URL+"/hotspots?top=5", &body); err != nil {
@@ -584,6 +613,7 @@ func TestClusterMixedWireVersionDegrades(t *testing.T) {
 	if len(body.Rows) == 0 {
 		t.Fatal("degraded answer carries no rows from the router's own share")
 	}
+	checkStatus("after a query")
 }
 
 // waitFor polls cond until it holds or the deadline passes.

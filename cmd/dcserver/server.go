@@ -583,10 +583,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		cfg.Window.Seconds(), cfg.Retention, cfg.CoarseFactor, cfg.CoarseRetention})
 }
 
-// GET /healthz
+// GET /healthz — liveness, the ingest count, and the peer-wire version
+// this node speaks (a cluster router marks a peer of another version down).
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
 		Status   string `json:"status"`
 		Ingested int64  `json:"ingested"`
-	}{"ok", s.store.Stats().Ingested})
+		PeerWire int    `json:"peer_wire"`
+	}{"ok", s.store.Stats().Ingested, cluster.WireVersion})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -431,7 +432,8 @@ type Status struct {
 }
 
 // Status probes every peer's /healthz (bounded by ctx) and reports the
-// cluster's health as this node sees it.
+// cluster's health as this node sees it. A peer that answers in another
+// peer-wire version is down: none of its partials would decode.
 func (c *Coordinator) Status(ctx context.Context) Status {
 	table, _, peers := c.snapshot()
 	out := Status{Self: c.self, Generation: table.Generation, Nodes: make([]NodeStatus, len(table.Nodes))}
@@ -447,7 +449,7 @@ func (c *Coordinator) Status(ctx context.Context) Status {
 		wg.Add(1)
 		go func(ns *NodeStatus, p *peer) {
 			defer wg.Done()
-			err := p.do(ctx, http.MethodGet, "/healthz", "", nil, nil, false)
+			err := p.do(ctx, http.MethodGet, "/healthz", "", nil, checkHealthz, false)
 			up, lastErr, lastContact := p.status()
 			ns.Up = up && err == nil
 			ns.LastError = lastErr
@@ -463,6 +465,21 @@ func (c *Coordinator) Status(ctx context.Context) Status {
 		}
 	}
 	return out
+}
+
+// checkHealthz refuses a /healthz answer whose peer_wire is not this
+// node's WireVersion; a node older than the field reports none.
+func checkHealthz(b []byte) error {
+	var h struct {
+		PeerWire uint64 `json:"peer_wire"`
+	}
+	if err := json.Unmarshal(b, &h); err != nil {
+		return err
+	}
+	if h.PeerWire != WireVersion {
+		return fmt.Errorf("%w: /healthz reports version %d, this node speaks %d", ErrWireVersion, h.PeerWire, WireVersion)
+	}
+	return nil
 }
 
 func unixNS(t time.Time) int64 {

@@ -26,11 +26,12 @@
 //	str      := bytes
 //	float    := uvarint(byte-reversed IEEE-754 bits)
 //
-// A tree is its partial's profdb v4 database, verbatim, and a decoded
-// partial's Tree (like the set's trend blob) aliases the message buffer:
-// the coordinator decodes each tree once, as the fold visits it, straight
-// from the bytes the peer sent. Aggregates and findings carry exact float
-// bits, so a fold is bit-equal whether its inputs traveled or not.
+// A tree is its partial's profdb v4 database, verbatim — the bytes the
+// answering series cached — and a decoded partial's Tree (like the set's
+// trend blob) aliases the message buffer: the coordinator plans each tree
+// once, as the fold visits it, straight from the bytes the peer sent.
+// Aggregates and findings carry exact float bits, so a fold is bit-equal
+// whether its inputs traveled or not.
 //
 // The encoding is canonical — minimal varints, 0/1 booleans and markers, no
 // trailing bytes — so whatever decodes re-encodes to the same bytes, and a
@@ -52,10 +53,12 @@ import (
 	"deepcontext/internal/profstore/trend"
 )
 
-const (
-	wireMagic   = "DEEPCONTEXT-PEER"
-	wireVersion = 1
-)
+const wireMagic = "DEEPCONTEXT-PEER"
+
+// WireVersion is the peer-wire version this node speaks. /healthz reports
+// it as peer_wire, so /cluster/status can tell a peer that answers but
+// speaks another version.
+const WireVersion = 1
 
 var (
 	// ErrWireVersion reports a peer message in a wire version this node
@@ -84,7 +87,7 @@ func EncodePartials(resp *PartialsResponse) []byte {
 	}
 	b := make([]byte, 0, size)
 	b = append(b, wireMagic...)
-	b = binary.AppendUvarint(b, wireVersion)
+	b = binary.AppendUvarint(b, WireVersion)
 	b = appendPartialList(b, resp.Set.Series)
 	b = appendBytes(b, resp.Set.Trend)
 	b = appendDiff(b, resp.Before)
@@ -211,8 +214,8 @@ func DecodePartials(msg []byte) (*PartialsResponse, error) {
 		return nil, fmt.Errorf("%w: message starts %q, not the peer wire magic (a node of an older release answers JSON)", ErrWireVersion, head)
 	}
 	r := &wireReader{b: msg, off: len(wireMagic)}
-	if v := r.uvarint(); r.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("%w: message is version %d, this node speaks %d", ErrWireVersion, v, wireVersion)
+	if v := r.uvarint(); r.err == nil && v != WireVersion {
+		return nil, fmt.Errorf("%w: message is version %d, this node speaks %d", ErrWireVersion, v, WireVersion)
 	}
 	resp := &PartialsResponse{}
 	resp.Set.Series = r.partialList()

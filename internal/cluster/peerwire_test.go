@@ -125,7 +125,7 @@ func TestPeerWireRejectsOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := binary.AppendUvarint([]byte(wireMagic), wireVersion+1)
+	next := binary.AppendUvarint([]byte(wireMagic), WireVersion+1)
 	for name, msg := range map[string][]byte{"json": old, "next version": next, "empty": nil} {
 		if _, err := DecodePartials(msg); !errors.Is(err, ErrWireVersion) {
 			t.Errorf("%s: err = %v, want ErrWireVersion", name, err)
@@ -200,7 +200,7 @@ func heapDelta(fn func()) uint64 {
 // against the bytes remaining first), failures are typed, and whatever it
 // accepts re-encodes to exactly the bytes it came from.
 func FuzzPartialsDecode(f *testing.F) {
-	header := binary.AppendUvarint([]byte(wireMagic), wireVersion)
+	header := binary.AppendUvarint([]byte(wireMagic), WireVersion)
 	header = header[:len(header):len(header)] // each seed appends to its own copy
 	huge := binary.AppendUvarint(nil, 1<<40)
 	for _, msg := range realAnswers(f) {

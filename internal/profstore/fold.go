@@ -5,10 +5,11 @@ package profstore
 // first, bucket starts ascending, series keys ascending — and never learns
 // where they came from. The local store feeds it live series under its
 // all-shard read lock (walkLocked); a cluster coordinator feeds it the
-// sorted, ownership-filtered partials its nodes exported (walkPartials in
-// partial.go). Same items, same order, same float operations: a cluster
-// answers byte-identically to one node holding the same data, and the
-// AggregateInfo accounting and the ErrNoData texts exist exactly once.
+// sorted, ownership-filtered partials its nodes exported, each planned
+// from its bytes (walkPartials in partial.go). Same items, same order,
+// same float operations: a cluster answers byte-identically to one node
+// holding the same data, and the AggregateInfo accounting and the
+// ErrNoData texts exist exactly once.
 
 import (
 	"context"
@@ -21,26 +22,39 @@ import (
 	"deepcontext/internal/cct"
 )
 
-// foldItem is one (bucket, series) contribution to a fold. tree is a live
-// tree (local walk — read-only) or a decoded copy (partials); agg is the
-// close-time aggregate, nil while the bucket is open or after late data,
-// and for tree partials.
+// foldItem is one (bucket, series) contribution to a fold. A local walk
+// sets ser, the live series (read-only); a tree partial sets plan, its
+// bytes planned for merging. agg is the close-time aggregate: nil while
+// the bucket is open or after late data, and for tree partials.
 type foldItem struct {
 	bucket   PartialBucket
 	key      string
 	labels   Labels
 	profiles int
-	tree     *cct.Tree
+	ser      *series
+	plan     *cct.Plan
 	agg      *seriesAgg
 }
 
-// aggregate returns the item's per-label aggregate, reducing the tree when
-// no close-time aggregate exists.
+// aggregate returns the item's per-label aggregate, reducing the live tree
+// when no close-time aggregate exists.
 func (it *foldItem) aggregate() *seriesAgg {
 	if it.agg != nil {
 		return it.agg
 	}
-	return computeSeriesAgg(it.tree)
+	return computeSeriesAgg(it.ser.tree)
+}
+
+// mergeInto merges the item's tree into out: a partial's plan, or the live
+// tree of a local walk. Both visit nodes in the same pre-order with the
+// same metric merges, and window trees are already address-normalized, so
+// the two are bit-identical for the same tree.
+func (it *foldItem) mergeInto(out *cct.Tree) {
+	if it.plan != nil {
+		out.MergePlan(it.plan)
+		return
+	}
+	cct.Merge(out, it.ser.tree)
 }
 
 // walkFunc feeds a fold its items in canonical order, stopping at the
@@ -104,7 +118,7 @@ func walkBucket(buf []keyedSeries, wins []*window, bucket PartialBucket, filter 
 	slices.SortFunc(buf, func(a, b keyedSeries) int { return strings.Compare(a.key, b.key) })
 	for _, ks := range buf {
 		ser := ks.ser
-		if err := visit(foldItem{bucket, ks.key, ser.labels, ser.profiles, ser.tree, ser.agg}); err != nil {
+		if err := visit(foldItem{bucket: bucket, key: ks.key, labels: ser.labels, profiles: ser.profiles, ser: ser, agg: ser.agg}); err != nil {
 			return buf, err
 		}
 	}
@@ -145,7 +159,7 @@ func foldRange(walk walkFunc, from, to time.Time, filter Labels, add func(foldIt
 // behind Aggregate, Hotspots, /flame and /analyze.
 func foldTree(walk walkFunc, from, to time.Time, filter Labels) (*cct.Tree, AggregateInfo, error) {
 	out := cct.New()
-	info, err := foldRange(walk, from, to, filter, func(it foldItem) { cct.Merge(out, it.tree) })
+	info, err := foldRange(walk, from, to, filter, func(it foldItem) { it.mergeInto(out) })
 	if err != nil {
 		return nil, info, err
 	}
@@ -219,7 +233,7 @@ func foldDiffSide(d *diffSide, t time.Time, filter Labels) (*cct.Tree, error) {
 	out := cct.New()
 	matched := false
 	err := walk(func(it foldItem) error {
-		cct.Merge(out, it.tree)
+		it.mergeInto(out)
 		matched = true
 		return nil
 	})

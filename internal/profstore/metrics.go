@@ -49,7 +49,12 @@ type storeMetrics struct {
 	cacheMisses        *telemetry.Counter
 	cacheInvalidations *telemetry.Counter
 	cacheEvictions     *telemetry.Counter
+
+	partialsCached  *telemetry.Counter
+	partialsEncoded *telemetry.Counter
 }
+
+const partialEncodingsHelp = "Series tree partials exported to a cluster query or handoff, by whether the series' cached encoding served them."
 
 // newStoreMetrics registers the store's metric families on reg and
 // resolves the recording handles. Registration is idempotent, but the
@@ -89,6 +94,9 @@ func newStoreMetrics(reg *telemetry.Registry, timings bool) *storeMetrics {
 		cacheMisses:        reg.Counter("profstore_cache_misses_total", "Query-cache misses (no entry, or stale)."),
 		cacheInvalidations: reg.Counter("profstore_cache_invalidations_total", "Query-cache misses where a depended-on window had mutated."),
 		cacheEvictions:     reg.Counter("profstore_cache_evictions_total", "Query-cache LRU evictions."),
+
+		partialsCached:  reg.Counter("dcserver_partial_encodings_total", partialEncodingsHelp, telemetry.L("result", "cached")),
+		partialsEncoded: reg.Counter("dcserver_partial_encodings_total", partialEncodingsHelp, telemetry.L("result", "encoded")),
 	}
 }
 

@@ -4,17 +4,20 @@ package profstore
 // the query engine (fold.go). Each node exports its matched (bucket,
 // series) pairs from the store's canonical walk — tree bytes for the
 // aggregate-shaped queries, close-time aggregates for the fleet queries.
-// The coordinator sorts the union into canonical order, decodes each
-// partial as it is visited, and feeds the very fold a single node runs
-// over its live series: the exported Fold* functions are thin adapters
-// over foldTree, foldTopK, foldSearch and foldDiffSide, not a second
-// implementation. A cluster of N therefore answers byte-identical to one
-// node holding the same data, which the multi-node equivalence matrix pins.
+// The coordinator sorts the union into canonical order, plans each tree
+// partial straight from its bytes as it is visited (no tree is decoded),
+// and feeds the very fold a single node runs over its live series: the
+// exported Fold* functions are thin adapters over foldTree, foldTopK,
+// foldSearch and foldDiffSide, not a second implementation. A cluster of N
+// therefore answers byte-identical to one node holding the same data, which
+// the multi-node equivalence matrix pins.
 //
-// A partial's tree is its profdb v4 database. Between nodes, partials
-// travel in internal/cluster's binary peer wire, which carries those bytes
-// verbatim and aggregates and findings as exact float bits; the partial
-// types' JSON tags serve tooling, never a peer.
+// A partial's tree is its profdb v4 database. A series encodes it once and
+// keeps the bytes until its tree next changes (series.encoded), so
+// repeated queries over closed windows re-encode nothing. Between nodes,
+// partials travel in internal/cluster's binary peer wire, which carries
+// those bytes verbatim and aggregates and findings as exact float bits; the
+// partial types' JSON tags serve tooling, never a peer.
 //
 // The same partials double as the handoff payload: a node joining the
 // cluster imports moved series with replace semantics (idempotent under
@@ -28,7 +31,7 @@ import (
 	"time"
 
 	"deepcontext/internal/cct"
-	"deepcontext/internal/profiler"
+	"deepcontext/internal/profdb"
 	"deepcontext/internal/profstore/persist"
 	"deepcontext/internal/profstore/trend"
 )
@@ -71,7 +74,9 @@ func aggData(a *seriesAgg) *AggData {
 
 // SeriesPartial is one (bucket, series) contribution to a scatter-gather
 // fold: the series' tree bytes (persist's profdb encoding) or its close-time
-// aggregate, depending on the query kind.
+// aggregate, depending on the query kind. An exported Tree is the series'
+// cached encoding, shared with every other export of the same tree: it must
+// not be modified.
 type SeriesPartial struct {
 	Bucket   PartialBucket `json:"bucket"`
 	Key      string        `json:"key"`
@@ -81,13 +86,34 @@ type SeriesPartial struct {
 	Agg      *AggData      `json:"agg,omitempty"`
 }
 
-// DecodeTree decodes the partial's tree bytes.
+// DecodeTree decodes the partial's tree bytes into a tree of its own. On
+// the served path only handoff import (ImportPartials) calls it, since it
+// installs the tree as a live series; queries plan the bytes instead
+// (planTree).
 func (p *SeriesPartial) DecodeTree() (*cct.Tree, error) {
 	prof, err := persist.DecodeProfile(p.Tree)
 	if err != nil {
-		return nil, fmt.Errorf("profstore: partial %s@%d: %w", p.Key, p.Bucket.StartNS, err)
+		return nil, p.treeError(err)
 	}
 	return prof.Tree, nil
+}
+
+// planPartial plans one tree partial's bytes; a variable so tests can
+// check that every plan a fold takes is released.
+var planPartial = profdb.PlanBundle
+
+// planTree plans the partial's tree bytes for merging, accepting exactly
+// the bytes DecodeTree accepts. The caller releases the plans once merged.
+func (p *SeriesPartial) planTree() (*profdb.Plans, error) {
+	ps, err := planPartial(p.Tree)
+	if err != nil {
+		return nil, p.treeError(err)
+	}
+	return ps, nil
+}
+
+func (p *SeriesPartial) treeError(err error) error {
+	return fmt.Errorf("profstore: partial %s@%d: %w", p.Key, p.Bucket.StartNS, err)
 }
 
 // PartialMode selects what each exported partial carries.
@@ -122,17 +148,18 @@ type PartialSet struct {
 }
 
 // Partials exports this store's contribution to a scatter-gather fold (or a
-// handoff) under one all-shard read lock. Trees are encoded under the lock —
-// the coordinator folds decoded copies, never live trees, so ingest can
-// proceed the moment the lock drops. Matching nothing returns an empty set,
-// not ErrNoData: only the coordinator sees the whole cluster.
+// handoff) under one all-shard read lock. Each tree partial is its series'
+// cached encoding, encoded under the lock only when the tree changed since
+// the last export; the bytes are immutable, so ingest can proceed the
+// moment the lock drops. Matching nothing returns an empty set, not
+// ErrNoData: only the coordinator sees the whole cluster.
 func (s *Store) Partials(ctx context.Context, q PartialsQuery) (PartialSet, error) {
 	var set PartialSet
 	var err error
 	s.rlockAll()
 	set.Series, err = exportWalk(func(visit func(foldItem) error) error {
 		return s.walkLocked(ctx, q.From, q.To, q.Filter, q.Keep, visit)
-	}, q.Mode)
+	}, q.Mode, s.met)
 	if err == nil && q.WithTrend {
 		set.Trend, err = s.exportTrendLocked(q.Keep)
 	}
@@ -143,18 +170,16 @@ func (s *Store) Partials(ctx context.Context, q PartialsQuery) (PartialSet, erro
 	return set, nil
 }
 
-// exportWalk encodes every item walk visits as a partial.
-func exportWalk(walk walkFunc, mode PartialMode) ([]SeriesPartial, error) {
+// exportWalk turns every item a local walk visits into a partial: its
+// aggregate, or its series' cached encoding. met counts the encodings.
+func exportWalk(walk walkFunc, mode PartialMode, met *storeMetrics) ([]SeriesPartial, error) {
 	var out []SeriesPartial
 	err := walk(func(it foldItem) error {
 		p := SeriesPartial{Bucket: it.bucket, Key: it.key, Labels: it.labels, Profiles: it.profiles}
 		if mode == PartialAggs {
 			p.Agg = aggData(it.aggregate())
 		} else {
-			blob, err := persist.EncodeProfile(&profiler.Profile{
-				Tree: it.tree,
-				Meta: profiler.Meta{Workload: it.labels.Workload, Vendor: it.labels.Vendor, Framework: it.labels.Framework},
-			})
+			blob, err := it.ser.encoded(met)
 			if err != nil {
 				return fmt.Errorf("profstore: encode partial %s@%d: %w", it.key, it.bucket.StartNS, err)
 			}
@@ -197,7 +222,9 @@ func (s *Store) exportTrendLocked(keep func(key string) bool) ([]byte, error) {
 // walkPartials feeds a fold from a multi-node union of partials: sorted
 // into the store's canonical order — fine tier first, bucket starts
 // ascending, series keys ascending; keys are disjoint across owners, so the
-// order is total — and decoded one at a time as the fold visits them.
+// order is total. A tree partial is planned from its bytes just before its
+// visit and its pooled plan released right after, so a fold holds one plan
+// at a time and builds no tree but its own result.
 func walkPartials(parts []SeriesPartial, mode PartialMode) walkFunc {
 	return func(visit func(foldItem) error) error {
 		sort.SliceStable(parts, func(i, j int) bool {
@@ -215,11 +242,17 @@ func walkPartials(parts []SeriesPartial, mode PartialMode) walkFunc {
 			it := foldItem{bucket: p.Bucket, key: p.Key, labels: p.Labels, profiles: p.Profiles}
 			switch {
 			case mode == PartialTrees:
-				tree, err := p.DecodeTree()
+				ps, err := p.planTree()
 				if err != nil {
 					return err
 				}
-				it.tree = tree
+				it.plan = ps.Records[0].Plan
+				err = visit(it)
+				ps.Release()
+				if err != nil {
+					return err
+				}
+				continue
 			case p.Agg == nil:
 				return fmt.Errorf("profstore: partial %s@%d carries no aggregate", p.Key, p.Bucket.StartNS)
 			default:
@@ -299,14 +332,14 @@ type DiffPartials struct {
 }
 
 // DiffPartials exports this store's contribution to one diff instant: the
-// two-tier view Store.Diff folds, with its series encoded.
+// two-tier view Store.Diff folds, each series as its cached encoding.
 func (s *Store) DiffPartials(ctx context.Context, t time.Time, filter Labels) (DiffPartials, error) {
 	s.rlockAll()
 	d := s.diffSideLocked(t, filter)
 	out := DiffPartials{FineStartNS: d.fineNS, CoarseStartNS: d.coarseNS, FineExists: d.fineExists, CoarseExists: d.coarseExists}
 	var err error
-	if out.Fine, err = exportWalk(d.fine, PartialTrees); err == nil {
-		out.Coarse, err = exportWalk(d.coarse, PartialTrees)
+	if out.Fine, err = exportWalk(d.fine, PartialTrees, s.met); err == nil {
+		out.Coarse, err = exportWalk(d.coarse, PartialTrees, s.met)
 	}
 	s.runlockAll()
 	if err != nil {

@@ -122,6 +122,41 @@ func benchmarkSearchRare(b *testing.B, indexDisabled bool) {
 	}
 }
 
+// BenchmarkFoldPartials folds one query's tree partials — 32 series of 256
+// calling contexts — the way a cluster coordinator used to (decode each into
+// a tree, then Merge) and the way it does now (plan each from its bytes,
+// then MergePlan, releasing the plan).
+func BenchmarkFoldPartials(b *testing.B) {
+	parts := foldFixture(b, 32, 256)
+	b.Run("decode+Merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out := cct.New()
+			for j := range parts {
+				tree, err := parts[j].DecodeTree()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cct.Merge(out, tree)
+			}
+		}
+	})
+	b.Run("plan+MergePlan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out := cct.New()
+			for j := range parts {
+				ps, err := parts[j].planTree()
+				if err != nil {
+					b.Fatal(err)
+				}
+				out.MergePlan(ps.Records[0].Plan)
+				ps.Release()
+			}
+		}
+	})
+}
+
 func BenchmarkSearchRare10kSeriesIndexed(b *testing.B) { benchmarkSearchRare(b, false) }
 
 func BenchmarkSearchRare10kSeriesUncachedFold(b *testing.B) { benchmarkSearchRare(b, true) }

@@ -464,8 +464,7 @@ func (sh *shard) adoptSeriesLocked(startNS, durNS int64, coarse bool, key string
 		m[startNS] = w
 	}
 	if ser := w.series[key]; ser != nil {
-		cct.Merge(ser.tree, tree)
-		ser.agg = nil // tree changed; re-aggregated at the next close pass
+		ser.merge(tree) // re-aggregated at the next close pass
 		ser.profiles += profiles
 	} else {
 		w.series[key] = &series{labels: labels, tree: tree, profiles: profiles}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"deepcontext/internal/cct"
@@ -25,6 +26,55 @@ type series struct {
 	// owning shard's frame index under this series' key — the invariant
 	// Search's posting-list skip relies on (see index.go).
 	agg *seriesAgg
+	// enc caches the tree's persist.EncodeProfile bytes for partial
+	// exports, filled on first export and cleared by every tree mutation
+	// (mergePlan, merge). Readers under the shard read lock may race to
+	// fill it; both encode the same bytes.
+	enc atomic.Pointer[[]byte]
+}
+
+// mergePlan folds a planned profile into the series tree.
+func (s *series) mergePlan(p *cct.Plan) {
+	s.tree.MergePlan(p)
+	s.changed()
+}
+
+// merge folds another tree into the series tree.
+func (s *series) merge(t *cct.Tree) {
+	cct.Merge(s.tree, t)
+	s.changed()
+}
+
+// changed drops what was derived from the tree before it mutated: the
+// close-time aggregate (late data into a closed bucket, a compaction fold
+// or a recovery overlap; queries fall back to the tree until the next
+// close pass) and the cached encoding. Every tree mutation goes through
+// mergePlan or merge, so none can leave a stale encoding behind.
+func (s *series) changed() {
+	s.agg = nil
+	s.enc.Store(nil)
+}
+
+// encoded returns the series as persist.EncodeProfile bytes, the tree
+// partial a query exports, encoding only when the tree changed since the
+// last export. met counts cached and fresh encodings. The bytes are
+// shared by every export until the next mutation: callers must not
+// modify them. Callers hold the shard lock, at least for reading.
+func (s *series) encoded(met *storeMetrics) ([]byte, error) {
+	if b := s.enc.Load(); b != nil {
+		met.partialsCached.Inc()
+		return *b, nil
+	}
+	b, err := persist.EncodeProfile(&profiler.Profile{
+		Tree: s.tree,
+		Meta: profiler.Meta{Workload: s.labels.Workload, Vendor: s.labels.Vendor, Framework: s.labels.Framework},
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.enc.Store(&b)
+	met.partialsEncoded.Inc()
+	return b, nil
 }
 
 // window is one time bucket holding per-label merged trees.
@@ -290,12 +340,11 @@ func (sh *shard) mergeIntoWindowLocked(start time.Time, key string, labels Label
 		ser = &series{labels: labels, tree: cct.New()}
 		w.series[key] = ser
 	}
-	ser.tree.MergePlan(plan)
-	// Late data into an already-closed bucket invalidates its close-time
-	// aggregate: queries fall back to the tree until the bucket next
-	// closes (compaction for fine buckets). The index keeps its old
-	// postings — over-approximation is sound — but the skip needs agg.
-	ser.agg = nil
+	// Late data into an already-closed bucket drops its close-time
+	// aggregate until the bucket next closes (compaction for fine
+	// buckets). The index keeps its old postings — over-approximation is
+	// sound — but the skip needs agg.
+	ser.mergePlan(plan)
 	ser.profiles++
 	sh.gens[winKey{start.UnixNano(), false}]++
 }
@@ -367,10 +416,9 @@ func (sh *shard) compact(now time.Time) (folded, dropped int) {
 				dst = &series{labels: ser.labels, tree: cct.New()}
 				cw.series[k] = dst
 			}
-			cct.Merge(dst.tree, ser.tree)
-			// The coarse tree changed; its close-time aggregate is
+			// The coarse tree changes; its close-time aggregate is
 			// recomputed by the sweep below once the fold settles.
-			dst.agg = nil
+			dst.merge(ser.tree)
 			dst.profiles += ser.profiles
 		}
 		delete(sh.fine, key)
