@@ -5,6 +5,7 @@ package main
 //
 //	POST /cluster/partials   one node's share of a scatter-gather query
 //	POST /cluster/ingest     forwarded profiles from the ingest router
+//	                         (an /ingest body, applied without routing)
 //	POST /cluster/export     }
 //	POST /cluster/import     } the staged join/handoff protocol —
 //	POST /cluster/table      } see internal/cluster/handoff.go
@@ -21,7 +22,6 @@ package main
 // transport auth (see docs/OPERATIONS.md §11).
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -54,23 +54,11 @@ func (s *server) handleClusterPartials(w http.ResponseWriter, r *http.Request) {
 	cluster.WritePartials(w, resp)
 }
 
-// POST /cluster/ingest — apply a forwarded batch of full v3 frames.
+// POST /cluster/ingest — a forward from a peer's ingest router: an
+// /ingest body (one v4 bundle) holding profiles this node owns, applied
+// locally through the same code as /ingest and never routed again.
 func (s *server) handleClusterIngest(w http.ResponseWriter, r *http.Request) {
-	if !s.beginWrite() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	defer s.endWrite()
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	sum, err := cluster.ApplyForward(s.store, bytes.NewReader(raw), s.maxBody)
-	if err != nil {
-		writeIngestError(w, err)
-		return
-	}
-	writeJSONStatus(w, http.StatusAccepted, sum)
+	s.ingest(w, r, false)
 }
 
 // POST /cluster/export — compute this node's handoff export for a

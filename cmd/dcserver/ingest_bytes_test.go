@@ -7,6 +7,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -123,15 +124,24 @@ func TestIngestFailureStatusCodes(t *testing.T) {
 			}
 		}
 	}
-	// A forward whose batch framing is sound but whose frame is not.
-	var bad bytes.Buffer
-	if err := profdb.WriteBatch(gob.NewEncoder(&bad), &profdb.StreamBatch{Seq: 1, Frames: []profdb.StreamFrame{
-		{Magic: profdb.FormatMagicV3, Epoch: 1, Seq: 1, Meta: p.Meta, Full: []byte(profdb.FormatMagic + "\x01\x05junk!")},
+	// A forward whose bundle header is sound but whose second record is
+	// not: the first record must not land either.
+	good := dcpBytes(t, p)
+	_, k := binary.Uvarint(good[len(profdb.FormatMagic):])
+	twoRecords := append([]byte(profdb.FormatMagic), 2)
+	twoRecords = append(twoRecords, good[len(profdb.FormatMagic)+k:]...)
+	twoRecords = append(twoRecords, "\x05junk!"...)
+	// A forward from the previous release: a gob batch of v3 full frames.
+	var gobForward bytes.Buffer
+	if err := profdb.WriteBatch(gob.NewEncoder(&gobForward), &profdb.StreamBatch{Seq: 1, Frames: []profdb.StreamFrame{
+		{Magic: profdb.FormatMagicV3, Epoch: 1, Seq: 1, Meta: p.Meta, Full: good},
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if code, msg := postBytes(t, ts.URL+"/cluster/ingest", bad.Bytes()); code != http.StatusBadRequest {
-		t.Errorf("/cluster/ingest corrupt frame: status = %d, want 400: %s", code, msg)
+	for name, body := range map[string][]byte{"junk second record": twoRecords, "previous release's gob batch": gobForward.Bytes()} {
+		if code, msg := postBytes(t, ts.URL+"/cluster/ingest", body); code != http.StatusBadRequest {
+			t.Errorf("/cluster/ingest, %s: status = %d, want 400: %s", name, code, msg)
+		}
 	}
 	if got := store.Stats().Ingested; got != 0 {
 		t.Fatalf("%d profiles ingested from corrupt bodies", got)

@@ -80,17 +80,18 @@
 // generation-stamped cache (512 entries) that is invalidated per (shard,
 // window) on ingest, compaction and retention — /stats reports shard
 // count and cache hit/miss/invalidation counters.
-// Restarting with an explicit -store-shards (or over a pre-shard data
-// directory) migrates the directory in place during recovery, staged and
-// crash-safe.
+// Restarting with an explicit -store-shards migrates the directory in
+// place during recovery, staged and crash-safe; a pre-shard data directory
+// (root-level wal/ or CURRENT, no STORE.json) is refused untouched.
 //
 // Cluster mode (-node-id with -peers, or a committed CLUSTER.json in the
 // data dir) partitions series across N dcserver nodes by consistent
 // hash: /ingest and /stream forward remote-owned profiles to their
-// owning node, the query endpoints scatter-gather and fold partial
-// results in canonical order — a healthy cluster answers byte-identical
-// to a single node holding the union of the data; a down peer degrades
-// responses to the survivors' share with a coverage annotation.
+// owning node's /cluster/ingest as an /ingest body (one v4 bundle), and
+// the query endpoints scatter-gather and fold partial results in
+// canonical order — a healthy cluster answers byte-identical to a single
+// node holding the union of the data; a down peer degrades responses to
+// the survivors' share with a coverage annotation.
 // Membership changes go through POST /cluster/join (staged export →
 // import → commit → drop; idempotent). See docs/OPERATIONS.md §11 for
 // the runbook.

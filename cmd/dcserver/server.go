@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,7 +47,7 @@ func newServerHandler(store *profstore.Store, coord *cluster.Coordinator, maxBod
 	handle := func(route string, h http.HandlerFunc) {
 		mux.HandleFunc(route, m.wrap(route, h))
 	}
-	handle("/ingest", s.handleIngest)
+	handle("/ingest", post(s.handleIngest))
 	handle("/stream", s.handleStream)
 	handle("/hotspots", get(s.handleHotspots))
 	handle("/diff", get(s.handleDiff))
@@ -259,19 +260,22 @@ func queryInt(r *http.Request, name string, def int) int {
 }
 
 // POST /ingest — body is a .dcp database (one profile or a bundle); every
-// contained profile is folded into the current window. The body is
-// validated whole and each profile planned from its bytes in the same pass
-// (profdb.PlanBundle), so no tree is built: the plan folds straight into
-// the window tree, and the bytes are the WAL record. In cluster mode the
-// handler is the ingest router: entries this node owns land locally, the
-// rest travel, as the same bytes, to their owning node as one forwarded
-// batch per destination.
+// contained profile is folded into the current window. In cluster mode the
+// handler is the ingest router: profiles this node owns land locally, the
+// rest travel, as the bytes received, to their owning node as one v4
+// bundle per destination.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+	s.ingest(w, r, s.cluster != nil)
+}
+
+// ingest serves an /ingest body. The body is validated whole and each
+// profile planned from its bytes in the same pass (profdb.PlanBundleLimit),
+// so no tree is built: cluster.IngestPlans folds each plan straight into
+// the window tree, and the bytes are the WAL record. With route set,
+// profiles another node owns are forwarded instead, after the local share
+// landed. Codes: 413 or 400 for a body that does not plan, 500 for a store
+// failure, 502 for a failed forward.
+func (s *server) ingest(w http.ResponseWriter, r *http.Request, route bool) {
 	if !s.beginWrite() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
@@ -281,39 +285,29 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	planned, err := profdb.PlanBundle(raw)
+	planned, err := profdb.PlanBundleLimit(raw, s.maxBody)
 	if err != nil {
 		writeIngestError(w, err)
 		return
 	}
 	defer planned.Release()
-	var out cluster.IngestSummary
-	seenWin := map[string]bool{}
 	forwards := forwardSet{}
-	for i := range planned.Records {
-		// The bytes just validated are what gets logged or forwarded; the
-		// profile is not encoded again on this node.
-		rec := &planned.Records[i]
-		labels := profstore.LabelsOf(rec.Meta)
-		if s.cluster != nil {
-			if owner := s.cluster.OwnerOf(labels); owner != s.cluster.Self() {
-				forwards.to(owner).AddEncoded(rec.Meta, rec.Encoded())
-				continue
-			}
+	out, err := cluster.IngestPlans(s.store, planned, func(labels profstore.Labels, rec *profdb.Planned) bool {
+		if !route {
+			return false
 		}
-		start, err := s.store.IngestPlan(labels, rec.Plan, rec.Encoded())
-		if err != nil {
-			// The body decoded, so what is left to fail is this node's
-			// durability (layout check, WAL append): not the client's fault.
-			writeError(w, http.StatusInternalServerError, err)
-			return
+		owner := s.cluster.OwnerOf(labels)
+		if owner == s.cluster.Self() {
+			return false
 		}
-		out.Ingested++
-		out.Series = append(out.Series, labels.Key())
-		if ws := start.Format(time.RFC3339Nano); !seenWin[ws] {
-			seenWin[ws] = true
-			out.Windows = append(out.Windows, ws)
-		}
+		forwards.to(owner).AddEncoded(rec.Encoded())
+		return true
+	})
+	if err != nil {
+		// The body planned, so what is left to fail is this node's
+		// durability (layout check, WAL append): not the client's fault.
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	for _, owner := range sortedKeys(forwards) {
 		fw := forwards[owner]
@@ -332,8 +326,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		out.Ingested += sum.Ingested
 		out.Series = append(out.Series, sum.Series...)
 		for _, ws := range sum.Windows {
-			if !seenWin[ws] {
-				seenWin[ws] = true
+			if !slices.Contains(out.Windows, ws) {
 				out.Windows = append(out.Windows, ws)
 			}
 		}
@@ -349,7 +342,7 @@ type forwardSet map[string]*cluster.Forwarder
 func (fs forwardSet) to(owner string) *cluster.Forwarder {
 	fw := fs[owner]
 	if fw == nil {
-		fw = cluster.NewForwarder()
+		fw = new(cluster.Forwarder)
 		fs[owner] = fw
 	}
 	return fw

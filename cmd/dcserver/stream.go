@@ -292,7 +292,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		met.batchFrames.Add(int64(len(b.Frames)))
 
 		// In cluster mode, frames whose series another node owns are
-		// re-encoded as full frames the moment they materialize (the
+		// encoded as v4 databases the moment they materialize (the
 		// session base mutates under the next delta) and forwarded per
 		// destination after the local share lands.
 		fwd := forwardSet{}

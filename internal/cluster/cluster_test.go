@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"deepcontext/internal/cct"
+	"deepcontext/internal/profdb"
 	"deepcontext/internal/profiler"
 	"deepcontext/internal/profstore"
 )
@@ -135,6 +138,25 @@ func newTestNode(t *testing.T, id string, now func() time.Time) *testNode {
 			return
 		}
 		WritePartials(w, resp)
+	})
+	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		ps, err := profdb.PlanBundle(body)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		defer ps.Release()
+		sum, err := IngestPlans(n.store, ps, nil)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		json.NewEncoder(w).Encode(sum)
 	})
 	mux.HandleFunc("/cluster/ingest", func(w http.ResponseWriter, r *http.Request) {
 		sum, err := ApplyForward(n.store, r.Body, 64<<20)
@@ -327,5 +349,20 @@ func TestForwardRoundTrip(t *testing.T) {
 	}
 	if got := n1.store.Stats().Ingested; got != 0 {
 		t.Fatalf("n1 ingested %d profiles, want 0", got)
+	}
+	// A forward is an /ingest body: a single node's plain /ingest takes
+	// the same bytes and answers the same.
+	single := newTestNode(t, "single", now)
+	resp, err := http.Post(single.ts.URL+"/ingest", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var plain IngestSummary
+	if err := json.NewDecoder(resp.Body).Decode(&plain); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/ingest of a forward body: status %d, %v", resp.StatusCode, err)
+	}
+	if !reflect.DeepEqual(plain, sum) {
+		t.Fatalf("/ingest answered %+v, the forward %+v", plain, sum)
 	}
 }

@@ -57,8 +57,9 @@ const wireMagic = "DEEPCONTEXT-PEER"
 
 // WireVersion is the peer-wire version this node speaks. /healthz reports
 // it as peer_wire, so /cluster/status can tell a peer that answers but
-// speaks another version.
-const WireVersion = 1
+// speaks another version. Version 2 sends forwards to /cluster/ingest as
+// /ingest bodies (one v4 bundle); version 1 sent gob batches of v3 frames.
+const WireVersion = 2
 
 var (
 	// ErrWireVersion reports a peer message in a wire version this node

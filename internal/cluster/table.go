@@ -1,7 +1,7 @@
 // Package cluster turns N dcserver processes into one profstore: a
 // consistent-hash routing table extends the store's deterministic FNV-1a
 // series-key hash across nodes, an ingest router forwards profiles to their
-// owner over the profdb v3 full-frame wire, and a scatter-gather
+// owner as /ingest bodies (profdb v4 bundles), and a scatter-gather
 // coordinator fans queries out and folds the partial results in the exact
 // (tier, bucket start, series key) order of the single-node fold — so a
 // cluster of N answers byte-identical to one node holding the same data.

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"deepcontext/internal/profdb"
@@ -114,58 +112,76 @@ type IngestSummary struct {
 	Windows  []string `json:"windows"`
 }
 
-// Forwarder accumulates profiles bound for one destination node as a
-// profdb v3 batch of full frames — the v3 wire with no session state,
-// since a full frame decodes standalone. Profiles are captured the moment
-// they are added: a delta session's materialized profile mutates in
-// place when the next frame applies, so deferring the encode would
-// forward the wrong snapshot.
-type Forwarder struct {
-	batch profdb.StreamBatch
+// IngestPlans is the one local apply of an ingest body: /ingest's local
+// share, /cluster/ingest and ApplyForward all go through it. It folds a
+// planned database's records into store in order, each through
+// Store.IngestPlan with the bytes it was planned from as its WAL record,
+// and reports them. route, when non-nil, sees each record first and
+// returns true for one it sent elsewhere (the router's forwards); that
+// record is skipped here. An error is the store failing to apply a
+// record; the records ahead of it stay applied.
+func IngestPlans(store *profstore.Store, ps *profdb.Plans, route func(profstore.Labels, *profdb.Planned) bool) (IngestSummary, error) {
+	var sum IngestSummary
+	for i := range ps.Records {
+		rec := &ps.Records[i]
+		labels := profstore.LabelsOf(rec.Meta)
+		if route != nil && route(labels, rec) {
+			continue
+		}
+		start, err := store.IngestPlan(labels, rec.Plan, rec.Encoded())
+		if err != nil {
+			return sum, err
+		}
+		sum.Ingested++
+		sum.Series = append(sum.Series, labels.Key())
+		if ws := start.Format(time.RFC3339Nano); !slices.Contains(sum.Windows, ws) {
+			sum.Windows = append(sum.Windows, ws)
+		}
+	}
+	return sum, nil
 }
 
-func NewForwarder() *Forwarder {
-	return &Forwarder{batch: profdb.StreamBatch{Seq: 1}}
+// Forwarder accumulates the profiles bound for one destination node as
+// standalone v4 databases, and Bytes joins them into the one v4 bundle an
+// /ingest body would be: a forward is exactly what the router received,
+// with nothing re-encoded. Profiles are captured the moment they are added:
+// a delta session's materialized profile mutates in place when the next
+// frame applies, so deferring the encode would forward the wrong snapshot.
+// The zero value is an empty batch.
+type Forwarder struct {
+	dbs [][]byte
 }
 
 // Add puts one profile into the batch, encoded now.
 func (f *Forwarder) Add(p *profiler.Profile) error {
-	full, err := persist.EncodeProfile(p)
+	db, err := persist.EncodeProfile(p)
 	if err != nil {
 		return fmt.Errorf("cluster: encode forward: %w", err)
 	}
-	f.AddEncoded(p.Meta, full)
+	f.AddEncoded(db)
 	return nil
 }
 
-// AddEncoded puts one profile into the batch as the profdb bytes the
-// router received and validated it as (profdb.Planned.Encoded), with its
-// metadata.
-func (f *Forwarder) AddEncoded(meta profiler.Meta, full []byte) {
-	f.batch.Frames = append(f.batch.Frames, profdb.StreamFrame{
-		Magic: profdb.FormatMagicV3,
-		Epoch: 1,
-		Seq:   uint64(len(f.batch.Frames) + 1),
-		Meta:  meta,
-		Full:  full,
-	})
-}
+// AddEncoded puts one profile into the batch as the standalone v4 database
+// the router received and validated it as (profdb.Planned.Encoded).
+func (f *Forwarder) AddEncoded(db []byte) { f.dbs = append(f.dbs, db) }
 
 // Len is how many profiles the batch holds.
-func (f *Forwarder) Len() int { return len(f.batch.Frames) }
+func (f *Forwarder) Len() int { return len(f.dbs) }
 
-// Bytes serializes the batch for POST /cluster/ingest.
+// Bytes returns the batch as one v4 bundle for POST /cluster/ingest. A
+// batch of one is the profile's own database, not a copy.
 func (f *Forwarder) Bytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := profdb.WriteBatch(gob.NewEncoder(&buf), &f.batch); err != nil {
+	b, err := profdb.JoinBundles(f.dbs)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: encode forward: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// EncodeForward packs profiles into one forward batch.
+// EncodeForward packs profiles into one forward body.
 func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
-	fw := NewForwarder()
+	fw := new(Forwarder)
 	for _, p := range profs {
 		if err := fw.Add(p); err != nil {
 			return nil, err
@@ -174,77 +190,20 @@ func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
 	return fw.Bytes()
 }
 
-// ApplyForward ingests a forwarded batch stream: gob-framed StreamBatches
-// of full frames, applied through the store's prepared-batch path (one
-// shard-lock acquisition per shard per batch). Each frame's Full bytes are
-// planned once, with no tree built, and, being what was validated, logged
-// as this node's WAL payload. Delta frames are rejected — forwards are
-// stateless by design. Errors matching profdb.ErrCorrupt or ErrTooLarge
-// are the sender's fault; anything else is this node failing to store.
+// ApplyForward ingests a forward body read from r, at most maxBytes (> 0)
+// long: one v4 database, planned whole (profdb.PlanBundleLimit) and applied
+// through IngestPlans, as /cluster/ingest does. Errors matching
+// profdb.ErrCorrupt or ErrTooLarge are the sender's fault; anything else is
+// this node failing to store.
 func ApplyForward(store *profstore.Store, r io.Reader, maxBytes int64) (IngestSummary, error) {
-	var sum IngestSummary
-	dec := gob.NewDecoder(r)
-	seenWin := map[string]bool{}
-	for {
-		batch, err := profdb.ReadBatch(dec)
-		if errors.Is(err, io.EOF) {
-			return sum, nil
-		}
-		if err != nil {
-			return sum, fmt.Errorf("cluster: forward decode: %w", err)
-		}
-		if batch.Close {
-			return sum, nil
-		}
-		starts, series, err := applyForwardBatch(store, batch, maxBytes)
-		if err != nil {
-			return sum, err
-		}
-		sum.Ingested += len(series)
-		sum.Series = append(sum.Series, series...)
-		for _, start := range starts {
-			if ws := start.Format(time.RFC3339Nano); !seenWin[ws] {
-				seenWin[ws] = true
-				sum.Windows = append(sum.Windows, ws)
-			}
-		}
-	}
-}
-
-// applyForwardBatch plans every frame of one forward batch into pooled
-// plans and ingests them as one prepared batch, returning each profile's
-// window start and series key.
-func applyForwardBatch(store *profstore.Store, batch *profdb.StreamBatch, maxBytes int64) ([]time.Time, []string, error) {
-	prep := make([]profstore.PreparedProfile, 0, len(batch.Frames))
-	series := make([]string, 0, len(batch.Frames))
-	planned := make([]*profdb.Plans, 0, len(batch.Frames))
-	defer func() {
-		for _, ps := range planned {
-			ps.Release()
-		}
-	}()
-	for i := range batch.Frames {
-		f := &batch.Frames[i]
-		if f.Delta {
-			return nil, nil, fmt.Errorf("cluster: forward batch carries a delta frame (seq %d): %w", f.Seq, profdb.ErrCorrupt)
-		}
-		ps, err := profdb.PlanBundleLimit(f.Full, maxBytes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: forward frame decode: %w", err)
-		}
-		planned = append(planned, ps)
-		rec := &ps.Records[0]
-		labels := profstore.LabelsOf(rec.Meta)
-		pp, err := store.PreparePlan(labels, rec.Plan, rec.Encoded())
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: forward ingest: %w", err)
-		}
-		prep = append(prep, pp)
-		series = append(series, labels.Key())
-	}
-	starts, err := store.IngestPrepared(prep)
+	raw, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: forward ingest: %w", err)
+		return IngestSummary{}, fmt.Errorf("cluster: read forward: %w", err)
 	}
-	return starts, series, nil
+	ps, err := profdb.PlanBundleLimit(raw, maxBytes)
+	if err != nil {
+		return IngestSummary{}, fmt.Errorf("cluster: forward decode: %w", err)
+	}
+	defer ps.Release()
+	return IngestPlans(store, ps, nil)
 }

@@ -77,6 +77,41 @@ func standalone(record, body []byte) []byte {
 	return append(b, record...)
 }
 
+// JoinBundles returns the v4 databases dbs as one database holding all of
+// their records, in order. It reads each input's header — the magic and a
+// record count of at least one — and nothing past it: the records are
+// copied as they are, to be validated by whoever reads the result. A
+// single input is returned itself. Failures match ErrCorrupt.
+func JoinBundles(dbs [][]byte) ([]byte, error) {
+	if len(dbs) == 0 {
+		return nil, fmt.Errorf("profdb: empty bundle")
+	}
+	n, size := 0, 0
+	for i, db := range dbs {
+		r := &reader{b: db, off: len(FormatMagic)}
+		if !bytes.HasPrefix(db, []byte(FormatMagic)) {
+			r.fail("not a v4 database")
+		} else if c := r.count("profiles", minRecordBytes); r.err == nil && c == 0 {
+			r.fail("no profiles")
+		} else {
+			n += c
+		}
+		if r.err != nil {
+			return nil, fmt.Errorf("profdb: join input %d: %w", i, r.err)
+		}
+		size += r.remaining()
+	}
+	if len(dbs) == 1 {
+		return dbs[0], nil
+	}
+	out := appendHeader(make([]byte, 0, len(FormatMagic)+binary.MaxVarintLen64+size), n)
+	for _, db := range dbs {
+		_, k := binary.Uvarint(db[len(FormatMagic):])
+		out = append(out, db[len(FormatMagic)+k:]...)
+	}
+	return out, nil
+}
+
 // SaveBundle writes the named profiles to w as one database.
 func SaveBundle(w io.Writer, entries []Entry) error {
 	b, err := EncodeBundle(entries)

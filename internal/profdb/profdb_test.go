@@ -144,6 +144,50 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
+// JoinBundles is byte-equal to encoding the joined profiles as one
+// bundle, returns a single input itself, and refuses an input whose header
+// is not a v4 database with profiles.
+func TestJoinBundles(t *testing.T) {
+	a := sampleProfile()
+	b := sampleProfile()
+	b.Meta.Workload = "dlrm"
+	ab, err := EncodeBundle([]Entry{{Name: "a", Profile: a}, {Name: "b", Profile: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sampleProfile()
+	c.Meta.Workload = "vit"
+	cdb, err := EncodeBundle([]Entry{{Name: "c", Profile: c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeBundle([]Entry{{Name: "a", Profile: a}, {Name: "b", Profile: b}, {Name: "c", Profile: c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := JoinBundles([][]byte{ab, cdb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("joined bundle differs from the bundle encoded whole")
+	}
+	if one, err := JoinBundles([][]byte{cdb}); err != nil || &one[0] != &cdb[0] {
+		t.Fatalf("a single input was not returned itself (err %v)", err)
+	}
+	for name, bad := range map[string][][]byte{
+		"no inputs":      nil,
+		"not v4":         {ab, []byte("definitely not a profile")},
+		"no profiles":    {ab, []byte(FormatMagic + "\x00")},
+		"hostile count":  {ab, []byte(FormatMagic + "\x7f")},
+		"truncated head": {[]byte(FormatMagic)},
+	} {
+		if _, err := JoinBundles(bad); err == nil || (name != "no inputs" && !errors.Is(err, ErrCorrupt)) {
+			t.Errorf("%s: err = %v, want one matching ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestBundleFileAndSingleLoadInterop(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bundle.dcp")
 	a := sampleProfile()

@@ -10,14 +10,7 @@ import (
 // handles are resolved once at New — hot-path recording is a few atomic
 // adds, never a registry lookup — and the same counters back Stats(), so
 // the JSON surface and /metrics cannot drift apart.
-//
-// timings gates the latency observations (the time.Now reads plus
-// histogram updates on the ingest, WAL, close, compaction and snapshot
-// paths) and journal events; Config.TimingsDisabled turns it off to
-// measure the telemetry tax. Counters are never gated: they are the
-// single source of truth for Stats().
 type storeMetrics struct {
-	timings bool
 	reg     *telemetry.Registry
 	journal *telemetry.Journal
 
@@ -60,9 +53,8 @@ const partialEncodingsHelp = "Series tree partials exported to a cluster query o
 // resolves the recording handles. Registration is idempotent, but the
 // counters are shared per registry — give each store its own registry
 // (Config.Telemetry nil does this automatically).
-func newStoreMetrics(reg *telemetry.Registry, timings bool) *storeMetrics {
+func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 	return &storeMetrics{
-		timings: timings,
 		reg:     reg,
 		journal: reg.Journal(),
 
@@ -163,6 +155,12 @@ type storeOccupancy struct {
 func (s *Store) occupancy() storeOccupancy {
 	s.rlockAll()
 	defer s.runlockAll()
+	return s.occupancyLocked()
+}
+
+// occupancyLocked reads the occupancy values under the caller's
+// all-shard read lock.
+func (s *Store) occupancyLocked() storeOccupancy {
 	var oc storeOccupancy
 	fineStarts := make(map[int64]bool)
 	coarseStarts := make(map[int64]bool)
@@ -186,16 +184,16 @@ func (s *Store) occupancy() storeOccupancy {
 	return oc
 }
 
-// trendStats sums the per-shard tracker stats (zero when tracking is
-// disabled).
+// trendStats sums the per-shard tracker stats.
 func (s *Store) trendStats() TrendStats {
-	var ts TrendStats
 	s.rlockAll()
 	defer s.runlockAll()
+	return s.trendStatsLocked()
+}
+
+func (s *Store) trendStatsLocked() TrendStats {
+	var ts TrendStats
 	for _, sh := range s.shards {
-		if sh.tracker == nil {
-			continue
-		}
 		st := sh.tracker.Stats()
 		ts.Series += st.Series
 		ts.Frames += st.Frames
@@ -211,9 +209,13 @@ type indexOccupancy struct {
 }
 
 func (s *Store) indexOccupancy() indexOccupancy {
-	var oc indexOccupancy
 	s.rlockAll()
 	defer s.runlockAll()
+	return s.indexOccupancyLocked()
+}
+
+func (s *Store) indexOccupancyLocked() indexOccupancy {
+	var oc indexOccupancy
 	for _, sh := range s.shards {
 		if sh.idx != nil {
 			oc.frames += int64(sh.idx.in.Len())

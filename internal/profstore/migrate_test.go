@@ -1,6 +1,8 @@
 package profstore
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,24 +100,18 @@ func TestShardedCrashRecoveryIsByteEqual(t *testing.T) {
 // shards=1 store's shard directory IS the legacy layout, so its contents
 // (wal/, snap-*, CURRENT) are lifted to the root, exactly where the
 // pre-shard store wrote them.
-func legacyRootFrom(t *testing.T, clock *fakeClock, dst string, withSnapshot bool) *Store {
+func legacyRootFrom(t *testing.T, clock *fakeClock, dst string, withSnapshot bool) {
 	t.Helper()
 	staging := t.TempDir()
-	cfg := Config{Window: time.Minute, Shards: 1, Now: clock.Now, Dir: staging}
-	memCfg := cfg
-	memCfg.Dir = ""
-	s := New(cfg)
-	control := New(memCfg)
-	fillShardedStores(t, clock, s, control)
+	s := New(Config{Window: time.Minute, Shards: 1, Now: clock.Now, Dir: staging})
+	fillShardedStores(t, clock, s)
 	if withSnapshot {
 		if _, err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	clock.Advance(time.Minute)
-	for _, st := range []*Store{s, control} {
-		mustIngest(t, st, synthProfile("UNet", "Nvidia", "pytorch", 0xABC0, 7))
-	}
+	mustIngest(t, s, synthProfile("UNet", "Nvidia", "pytorch", 0xABC0, 7))
 	s.Close()
 	src := filepath.Join(staging, "shard-0")
 	ents, err := os.ReadDir(src)
@@ -127,15 +123,13 @@ func legacyRootFrom(t *testing.T, clock *fakeClock, dst string, withSnapshot boo
 			t.Fatal(err)
 		}
 	}
-	return control
 }
 
-// The migration satellite: a data directory written by the pre-shard
-// store (root-level wal/ + snapshot) is adopted on first boot of a
-// sharded store — byte-equal queries, data re-routed to per-shard
-// directories, legacy files gone — and the second boot is an ordinary
-// (non-migrating) recovery that still answers byte-equal.
-func TestMigrationAdoptsLegacySingleStoreLayout(t *testing.T) {
+// A data directory in the pre-shard layout (root-level wal/ and CURRENT,
+// no STORE.json) is refused, not adopted: Recover and the first ingest
+// both fail with an error that names the layout, and no file in the
+// directory changes.
+func TestRecoverRefusesPreShardLayout(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		withSnapshot bool
@@ -143,56 +137,53 @@ func TestMigrationAdoptsLegacySingleStoreLayout(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			clock := newClock(base)
-			control := legacyRootFrom(t, clock, dir, tc.withSnapshot)
+			legacyRootFrom(t, clock, dir, tc.withSnapshot)
 			if !persist.LegacyLayoutPresent(dir) {
 				t.Fatal("setup: no legacy layout at root")
 			}
-			want := queryImage(t, control, base, base.Add(2*time.Minute))
+			before := dirImage(t, dir)
 
 			cfg := Config{Window: time.Minute, Shards: 4, Now: clock.Now, Dir: dir}
-			revived := New(cfg)
-			rs, err := revived.Recover()
-			if err != nil {
-				t.Fatal(err)
+			s := New(cfg)
+			if _, err := s.Recover(); err == nil || !strings.Contains(err.Error(), "pre-shard") {
+				t.Fatalf("Recover over a pre-shard layout: err = %v, want one naming the layout", err)
 			}
-			if !rs.Migrated {
-				t.Fatalf("legacy layout not migrated: %+v", rs)
+			if _, err := s.Ingest(synthProfile("DLRM", "AMD", "pytorch", 0xF00, 2)); err == nil || !strings.Contains(err.Error(), "pre-shard") {
+				t.Fatalf("ingest over a pre-shard layout: err = %v, want one naming the layout", err)
 			}
-			if rs.SnapshotLoaded != tc.withSnapshot {
-				t.Fatalf("snapshot loaded = %v, want %v (%+v)", rs.SnapshotLoaded, tc.withSnapshot, rs)
-			}
-			if got := queryImage(t, revived, base, base.Add(2*time.Minute)); string(got) != string(want) {
-				t.Fatalf("migrated image differs from control:\n got %s\nwant %s", got, want)
-			}
-			if persist.LegacyLayoutPresent(dir) {
-				t.Fatal("legacy artifacts survived a committed migration")
-			}
-			meta, err := persist.ReadStoreMeta(dir)
-			if err != nil || meta == nil || meta.Shards != 4 {
-				t.Fatalf("store meta after migration = %+v (%v)", meta, err)
-			}
-			// New ingest lands in per-shard WALs on top of the migrated
-			// image…
-			mustIngest(t, revived, synthProfile("DLRM", "AMD", "pytorch", 0xF00, 2))
-			mustIngest(t, control, synthProfile("DLRM", "AMD", "pytorch", 0xF00, 2))
-			want = queryImage(t, control, base, base.Add(2*time.Minute))
-			revived.Close()
-
-			// …and the second boot is a plain recovery, still byte-equal.
-			again := New(cfg)
-			rs2, err := again.Recover()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer again.Close()
-			if rs2.Migrated {
-				t.Fatalf("second boot re-migrated: %+v", rs2)
-			}
-			if got := queryImage(t, again, base, base.Add(2*time.Minute)); string(got) != string(want) {
-				t.Fatalf("second boot diverged:\n got %s\nwant %s", got, want)
+			s.Close()
+			if after := dirImage(t, dir); after != before {
+				t.Fatalf("a refused directory changed:\nbefore %s\nafter  %s", before, after)
 			}
 		})
 	}
+}
+
+// dirImage lists every file under dir with its size and contents, for
+// comparing a directory before and after an operation.
+func dirImage(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if info.IsDir() {
+			fmt.Fprintf(&b, "%s/\n", rel)
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s %d %x\n", rel, info.Size(), sha256.Sum256(data))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // Changing -store-shards over an existing directory re-commits it under

@@ -196,9 +196,6 @@ func exportWalk(walk walkFunc, mode PartialMode, met *storeMetrics) ([]SeriesPar
 func (s *Store) exportTrendLocked(keep func(key string) bool) ([]byte, error) {
 	moved := make(map[string]*trend.SeriesState)
 	for _, sh := range s.shards {
-		if sh.tracker == nil {
-			continue
-		}
 		blob, err := sh.tracker.EncodeState()
 		if err != nil {
 			return nil, fmt.Errorf("profstore: export trend state: %w", err)
@@ -423,7 +420,7 @@ func (s *Store) ImportPartials(set PartialSet) (int, error) {
 		sh.mu.Unlock()
 		n++
 	}
-	if len(set.Trend) > 0 && !s.cfg.Trend.Disabled {
+	if len(set.Trend) > 0 {
 		states, err := trend.DecodeState(set.Trend)
 		if err != nil {
 			return n, fmt.Errorf("profstore: import trend state: %w", err)
@@ -478,9 +475,7 @@ func (s *Store) DropSeries(drop func(key string) bool) int {
 					delete(w.series, key)
 					n++
 					sh.gens[winKey{start, coarse}]++
-					if sh.tracker != nil {
-						sh.tracker.Remove(key)
-					}
+					sh.tracker.Remove(key)
 				}
 				if len(w.series) == 0 {
 					delete(m, start)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 const (
@@ -77,34 +76,4 @@ func LegacyLayoutPresent(dataDir string) bool {
 	}
 	_, err := os.Stat(filepath.Join(dataDir, currentName))
 	return err == nil
-}
-
-// RemoveLegacyLayout deletes single-store artifacts (wal/, snap-*, CURRENT,
-// snap.tmp) from dataDir, best-effort: the caller has already committed the
-// sharded layout via WriteStoreMeta, so leftovers are ignored by recovery
-// and this cleanup can safely retry on the next boot. It returns the first
-// error for logging.
-func RemoveLegacyLayout(dataDir string) error {
-	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	note(os.RemoveAll(filepath.Join(dataDir, walDirName)))
-	note(os.RemoveAll(filepath.Join(dataDir, snapTmpName)))
-	if err := os.Remove(filepath.Join(dataDir, currentName)); err != nil && !os.IsNotExist(err) {
-		note(err)
-	}
-	ents, err := os.ReadDir(dataDir)
-	if err != nil {
-		note(err)
-		return firstErr
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), snapPrefix) {
-			note(os.RemoveAll(filepath.Join(dataDir, e.Name())))
-		}
-	}
-	return firstErr
 }

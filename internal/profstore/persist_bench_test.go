@@ -3,8 +3,6 @@ package profstore
 import (
 	"testing"
 	"time"
-
-	"deepcontext/internal/profstore/trend"
 )
 
 // The ingest-path durability tax: the same Store.Ingest call with and
@@ -29,31 +27,17 @@ func BenchmarkIngestStoreMemory(b *testing.B) { benchmarkIngest(b, "") }
 
 func BenchmarkIngestStoreWAL(b *testing.B) { benchmarkIngest(b, b.TempDir()) }
 
-// The telemetry tax on the hot path: identical to IngestStoreMemory but
-// with the latency timings off (counters stay on — they back Stats()).
-// The delta is the cost of two time.Now reads and two histogram bucket
-// increments per ingest; the alloc profile must be identical.
-func BenchmarkIngestStoreMemoryNoTimings(b *testing.B) {
+// The window-close tax on the ingest path. Observation happens when an
+// ingest rolls to a new window (the previous one just closed), so each
+// iteration advances the clock one window and compacts — the steady-state
+// production rhythm. Every close feeds the trend detector; with the index
+// on it also computes the series aggregate and registers its frames.
+// In-window ingest (the hot path) is untouched either way — one int64
+// compare guards the close pass; the pinned BenchmarkIngestStoreMemory
+// profile must not move.
+func benchmarkIngestRolling(b *testing.B, indexDisabled bool) {
 	clock := newClock(base)
-	s := New(Config{Window: time.Minute, Now: clock.Now, TimingsDisabled: true})
-	defer s.Close()
-	p := synthProfile("UNet", "Nvidia", "pytorch", 0x1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Ingest(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The regression-detection tax on the ingest path. Observation happens
-// when an ingest rolls to a new window (the previous one just closed), so
-// each iteration advances the clock one window and compacts — the
-// steady-state production rhythm — with the detector on vs off.
-func benchmarkIngestRolling(b *testing.B, disabled bool) {
-	clock := newClock(base)
-	s := New(Config{Window: time.Minute, Now: clock.Now, Trend: trend.Config{Disabled: disabled}})
+	s := New(Config{Window: time.Minute, Now: clock.Now, IndexDisabled: indexDisabled})
 	defer s.Close()
 	p := synthProfile("UNet", "Nvidia", "pytorch", 0x1000, 1)
 	b.ReportAllocs()
@@ -67,34 +51,9 @@ func benchmarkIngestRolling(b *testing.B, disabled bool) {
 	}
 }
 
-func BenchmarkIngestWindowRollTrendOn(b *testing.B) { benchmarkIngestRolling(b, false) }
+func BenchmarkIngestWindowRollIndexOn(b *testing.B) { benchmarkIngestRolling(b, false) }
 
-func BenchmarkIngestWindowRollTrendOff(b *testing.B) { benchmarkIngestRolling(b, true) }
-
-// The fleet-index tax on the same rolling rhythm, isolated from the trend
-// detector: every iteration closes a window, which computes the series
-// aggregate and registers its frames. In-window ingest (the hot path) is
-// untouched either way — one int64 compare guards the close pass; the
-// pinned BenchmarkIngestStoreMemory profile must not move.
-func benchmarkIngestRollingIndex(b *testing.B, disabled bool) {
-	clock := newClock(base)
-	s := New(Config{Window: time.Minute, Now: clock.Now, Trend: trend.Config{Disabled: true}, IndexDisabled: disabled})
-	defer s.Close()
-	p := synthProfile("UNet", "Nvidia", "pytorch", 0x1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Ingest(p); err != nil {
-			b.Fatal(err)
-		}
-		clock.Advance(time.Minute)
-		s.CompactNow()
-	}
-}
-
-func BenchmarkIngestWindowRollIndexOn(b *testing.B) { benchmarkIngestRollingIndex(b, false) }
-
-func BenchmarkIngestWindowRollIndexOff(b *testing.B) { benchmarkIngestRollingIndex(b, true) }
+func BenchmarkIngestWindowRollIndexOff(b *testing.B) { benchmarkIngestRolling(b, true) }
 
 // Snapshot cost at a representative occupancy (60 windows × 1 series).
 func BenchmarkSnapshot(b *testing.B) {

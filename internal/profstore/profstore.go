@@ -56,30 +56,33 @@
 //
 // # Regression detection
 //
-// Unless Config.Trend.Disabled, each shard feeds every fine window that
-// closes (detected at ingest window transitions, compaction passes, and
-// explicit TrendSweep calls) to a trend tracker that maintains per-(series,
-// frame) EWMA share baselines and flags sustained drifts — see
-// internal/profstore/trend. Regressions returns the retained findings in a
-// canonical order independent of shard count and restarts; tracker state
-// rides in snapshots so detection history survives recovery.
+// Each shard feeds every fine window that closes (detected at ingest
+// window transitions, compaction passes, and explicit TrendSweep calls) to
+// a trend tracker that maintains per-(series, frame) EWMA share baselines
+// and flags sustained drifts — see internal/profstore/trend. Regressions
+// returns the retained findings in a canonical order independent of shard
+// count and restarts; tracker state rides in snapshots so detection
+// history survives recovery.
 //
 // # Durability
 //
 // With Config.Dir set the store is durable: every ingested profile is
 // appended to its shard's write-ahead log (rotated per window bucket)
 // before it is merged, and Snapshot writes an atomic compacted image of
-// each shard's retained windows under <dir>/shard-<i>/. Recover, called on
-// an empty store at boot, loads each shard's latest snapshot and replays
-// only the WAL suffix beyond the snapshot's per-segment watermarks;
-// because cct.Merge is associative and replay preserves ingest order, the
+// each shard's retained windows under <dir>/shard-<i>/. Every ingest —
+// Ingest, IngestPlan and IngestPrepared alike — goes through one locked
+// write per shard: one clock read, the window-close trigger, then WAL
+// append and merge per profile, in order. Recover, called on an empty
+// store at boot, loads each shard's latest snapshot and replays only the
+// WAL suffix beyond the snapshot's per-segment watermarks; because
+// cct.Merge is associative and replay preserves ingest order, the
 // recovered store answers Hotspots and Diff byte-equal to the pre-crash
-// store. Recover also adopts directories written under other layouts — the
-// pre-shard single-store layout, or a different shard count — by routing
-// every recovered series to its current shard and re-committing the
-// directory, with an atomically-written STORE.json as the migration commit
-// point. See internal/profstore/persist for the on-disk format and
-// corruption policy.
+// store. Recover also adopts a directory committed under a different
+// shard count by routing every recovered series to its current shard and
+// re-committing the directory, with an atomically-written STORE.json as
+// the migration commit point. A directory in the pre-shard single-store
+// layout is refused, untouched. See internal/profstore/persist for the
+// on-disk format and corruption policy.
 //
 // # Locking
 //
@@ -105,8 +108,8 @@
 // internal/telemetry), and records lifecycle events in the registry's
 // journal. Stats() reads the same counters the registry exports, so the
 // JSON and /metrics surfaces cannot drift. Hot-path recording is
-// zero-alloc and lock-free; Config.TimingsDisabled turns off the latency
-// observations and journal events to measure the residual tax.
+// zero-alloc and lock-free, and always on: TestIngestAllocGate pins the
+// ingest path's allocation profile with every timing recorded.
 package profstore
 
 import (
@@ -195,8 +198,8 @@ type Config struct {
 	// and snapshots; see internal/profstore/persist). Empty keeps the
 	// store memory-only.
 	Dir string
-	// Trend tunes the regression detector (see internal/profstore/trend).
-	// Tracking is on by default; set Trend.Disabled to opt out.
+	// Trend tunes the regression detector (see internal/profstore/trend),
+	// which is always on.
 	Trend trend.Config
 	// IndexDisabled turns off the fleet-query frame index and close-time
 	// aggregates (see index.go). TopK and Search still work — they fall
@@ -208,11 +211,6 @@ type Config struct {
 	// counters either way). Stores sharing a registry share counters —
 	// give each store its own.
 	Telemetry *telemetry.Registry
-	// TimingsDisabled turns off latency observation (the clock reads and
-	// histogram updates on the ingest, WAL, close, compaction and
-	// snapshot paths) and journal events, for measuring the telemetry
-	// tax. Counters stay on — they back Stats().
-	TimingsDisabled bool
 }
 
 func (c Config) withDefaults() Config {
@@ -280,7 +278,7 @@ func New(cfg Config) *Store {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	met := newStoreMetrics(reg, !cfg.TimingsDisabled)
+	met := newStoreMetrics(reg)
 	s := &Store{
 		cfg:    cfg,
 		shards: make([]*shard, cfg.Shards),
@@ -357,7 +355,7 @@ func (s *Store) ensureMeta() error {
 	}
 	switch {
 	case meta == nil && persist.LegacyLayoutPresent(dir):
-		return fmt.Errorf("profstore: %s holds a pre-shard store layout; call Recover to migrate it before ingesting", dir)
+		return fmt.Errorf("profstore: %w", errPreShard(dir))
 	case meta == nil:
 		if err := persist.WriteStoreMeta(dir, persist.StoreMeta{Shards: len(s.shards)}); err != nil {
 			return err
@@ -371,6 +369,12 @@ func (s *Store) ensureMeta() error {
 	return nil
 }
 
+// errPreShard refuses a directory in the pre-shard single-store layout,
+// which this release neither reads nor migrates.
+func errPreShard(dir string) error {
+	return fmt.Errorf("%s holds a pre-shard single-store layout (a root-level wal/ or CURRENT and no STORE.json), which this release does not read", dir)
+}
+
 // noteMetaCommitted marks the layout check as already satisfied (Recover
 // calls it after committing the layout).
 func (s *Store) noteMetaCommitted() {
@@ -380,9 +384,9 @@ func (s *Store) noteMetaCommitted() {
 }
 
 // CommittedShards reports the shard count dir was last committed with,
-// and false for a directory without a committed sharded layout (fresh, or
-// pre-shard legacy). dcserver derives its -store-shards default from this
-// so a CPU-count change never triggers an implicit migration.
+// and false for a directory without a committed sharded layout. dcserver
+// derives its -store-shards default from this so a CPU-count change never
+// triggers an implicit migration.
 func CommittedShards(dir string) (int, bool) {
 	meta, err := persist.ReadStoreMeta(dir)
 	if err != nil || meta == nil {
@@ -407,10 +411,7 @@ func CommittedShards(dir string) (int, bool) {
 // second time. Without them the store encodes p itself. A caller that
 // still holds the bytes needs no tree at all: see IngestPlan.
 func (s *Store) Ingest(p *profiler.Profile, encoded ...[]byte) (time.Time, error) {
-	var t0 time.Time
-	if s.met.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if p == nil || p.Tree == nil {
 		return time.Time{}, fmt.Errorf("profstore: nil profile")
 	}
@@ -440,21 +441,19 @@ var plans = sync.Pool{New: func() any { return new(cct.Plan) }}
 // a durable store requires and a memory-only one ignores. The plan is only
 // read and may be reused once IngestPlan returns.
 func (s *Store) IngestPlan(labels Labels, plan *cct.Plan, payload []byte) (time.Time, error) {
-	var t0 time.Time
-	if s.met.timings {
-		t0 = time.Now()
-	}
-	return s.ingestPlan(t0, labels, plan, payload)
+	return s.ingestPlan(time.Now(), labels, plan, payload)
 }
 
+// ingestPlan writes one planned profile through its shard's write, as a
+// batch of one, and observes the ingest latency since t0.
 func (s *Store) ingestPlan(t0 time.Time, labels Labels, plan *cct.Plan, payload []byte) (time.Time, error) {
 	payload, err := s.checkPayload(payload)
 	if err != nil {
 		return time.Time{}, err
 	}
 	key := labels.Key()
-	start, err := s.shardFor(key).ingest(key, labels, plan, payload)
-	if err == nil && s.met.timings {
+	start, err := s.shardFor(key).write([]PreparedProfile{{key: key, labels: labels, plan: plan, payload: payload}})
+	if err == nil {
 		s.met.ingestSeconds.Observe(time.Since(t0))
 	}
 	return start, err
@@ -495,7 +494,7 @@ func (s *Store) payloadFor(p *profiler.Profile, encoded [][]byte) ([]byte, error
 // PreparedProfile is one batch-ingest entry: the profile's series labels,
 // its merge plan, and its WAL payload. Prepare captures all three from the
 // profile, so the source profile may be mutated (or delta-materialized
-// further) before the batch lands; PreparePlan borrows the caller's plan.
+// further) before the batch lands.
 type PreparedProfile struct {
 	key     string // labels.Key()
 	labels  Labels
@@ -521,22 +520,15 @@ func (s *Store) Prepare(p *profiler.Profile, encoded ...[]byte) (PreparedProfile
 	if err != nil {
 		return PreparedProfile{}, err
 	}
+	if payload, err = s.checkPayload(payload); err != nil {
+		return PreparedProfile{}, err
+	}
 	plan := new(cct.Plan)
 	if err := plan.FromTree(p.Tree); err != nil {
 		return PreparedProfile{}, fmt.Errorf("profstore: %w", err)
 	}
 	plan.Detach() // p may change before the batch lands
-	return s.PreparePlan(LabelsOf(p.Meta), plan, payload)
-}
-
-// PreparePlan is Prepare for a planned profile, with payload as for
-// IngestPlan. The entry borrows plan: it must stay unchanged until
-// IngestPrepared returns.
-func (s *Store) PreparePlan(labels Labels, plan *cct.Plan, payload []byte) (PreparedProfile, error) {
-	payload, err := s.checkPayload(payload)
-	if err != nil {
-		return PreparedProfile{}, err
-	}
+	labels := LabelsOf(p.Meta)
 	return PreparedProfile{key: labels.Key(), labels: labels, plan: plan, payload: payload}, nil
 }
 
@@ -546,13 +538,11 @@ func (s *Store) PreparePlan(labels Labels, plan *cct.Plan, payload []byte) (Prep
 // order (WAL append before merge, exactly as Ingest), and the whole batch
 // shares one clock read — a batch lands in a single window per shard.
 // Returned window starts align with the batch; on error, entries of the
-// failing shard past the failure and all entries of higher-numbered shards
-// are not applied and report zero starts.
+// failing shard and all entries of higher-numbered shards report zero
+// starts, and of those only the failing shard's entries ahead of the
+// failure were applied.
 func (s *Store) IngestPrepared(batch []PreparedProfile) ([]time.Time, error) {
-	var t0 time.Time
-	if s.met.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	starts := make([]time.Time, len(batch))
 	if len(batch) == 0 {
 		return starts, nil
@@ -560,26 +550,31 @@ func (s *Store) IngestPrepared(batch []PreparedProfile) ([]time.Time, error) {
 	// Group entries by shard, preserving batch order within each group.
 	// Shards are locked one at a time in ascending id order — the
 	// store-wide lock order — though never nested.
-	byShard := make(map[int][]int)
+	ids := make([]int, len(batch))
+	byShard := make([][]PreparedProfile, len(s.shards))
 	for i := range batch {
-		id := s.shardFor(batch[i].key).id
-		byShard[id] = append(byShard[id], i)
+		ids[i] = s.shardFor(batch[i].key).id
+		byShard[ids[i]] = append(byShard[ids[i]], batch[i])
 	}
-	for _, id := range sortedKeys(byShard) {
-		idxs := byShard[id]
-		start, err := s.shards[id].ingestBatch(batch, idxs)
-		if err != nil {
-			return starts, err
+	shardStarts := make([]time.Time, len(s.shards))
+	var err error
+	for id, entries := range byShard {
+		if len(entries) == 0 {
+			continue
 		}
-		for _, i := range idxs {
-			starts[i] = start
+		if shardStarts[id], err = s.shards[id].write(entries); err != nil {
+			break
 		}
+	}
+	for i, id := range ids {
+		starts[i] = shardStarts[id]
+	}
+	if err != nil {
+		return starts, err
 	}
 	s.met.batches.Inc()
 	s.met.batchProfiles.Add(int64(len(batch)))
-	if s.met.timings {
-		s.met.ingestSeconds.Observe(time.Since(t0))
-	}
+	s.met.ingestSeconds.Observe(time.Since(t0))
 	return starts, nil
 }
 
@@ -936,10 +931,7 @@ func pathKey(n *cct.Node) string {
 // width are dropped. It returns how many fine windows were folded and how
 // many coarse windows were dropped across all shards.
 func (s *Store) CompactNow() (folded, dropped int) {
-	var t0 time.Time
-	if s.met.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	now := s.cfg.Now()
 	for _, sh := range s.shards {
 		f, d := sh.compact(now)
@@ -950,12 +942,10 @@ func (s *Store) CompactNow() (folded, dropped int) {
 		s.met.compactions.Inc()
 		s.met.windowsFolded.Add(int64(folded))
 		s.met.windowsDropped.Add(int64(dropped))
-		if s.met.timings {
-			d := time.Since(t0)
-			s.met.compactSeconds.Observe(d)
-			s.met.journal.Record("compaction", fmt.Sprintf("folded %d fine windows, dropped %d coarse", folded, dropped),
-				"folded", fmt.Sprint(folded), "dropped", fmt.Sprint(dropped), "duration", d.String())
-		}
+		d := time.Since(t0)
+		s.met.compactSeconds.Observe(d)
+		s.met.journal.Record("compaction", fmt.Sprintf("folded %d fine windows, dropped %d coarse", folded, dropped),
+			"folded", fmt.Sprint(folded), "dropped", fmt.Sprint(dropped), "duration", d.String())
 	}
 	return folded, dropped
 }
@@ -1021,10 +1011,7 @@ func (s *Store) Snapshot() (persist.Info, error) {
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	var t0 time.Time
-	if s.met.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	now := s.cfg.Now()
 	// The store-wide compaction count rides in shard 0's image, so the
 	// directory-wide sum recovers exactly.
@@ -1046,12 +1033,10 @@ func (s *Store) Snapshot() (persist.Info, error) {
 	s.lastSnapshot.Store(now.UnixNano())
 	s.lastSnapBytes.Store(total.Bytes)
 	s.lastSnapErr.Store("")
-	if s.met.timings {
-		d := time.Since(t0)
-		s.met.snapshotSeconds.Observe(d)
-		s.met.journal.Record("snapshot", fmt.Sprintf("committed %d files, %d bytes", total.Files, total.Bytes),
-			"files", fmt.Sprint(total.Files), "bytes", fmt.Sprint(total.Bytes), "duration", d.String())
-	}
+	d := time.Since(t0)
+	s.met.snapshotSeconds.Observe(d)
+	s.met.journal.Record("snapshot", fmt.Sprintf("committed %d files, %d bytes", total.Files, total.Bytes),
+		"files", fmt.Sprint(total.Files), "bytes", fmt.Sprint(total.Bytes), "duration", d.String())
 	return total, nil
 }
 
@@ -1059,9 +1044,7 @@ func (s *Store) noteSnapshotErr(err error) error {
 	err = fmt.Errorf("profstore: snapshot: %w", err)
 	s.met.snapshotErrors.Inc()
 	s.lastSnapErr.Store(err.Error())
-	if s.met.timings {
-		s.met.journal.Record("snapshot_error", err.Error())
-	}
+	s.met.journal.Record("snapshot_error", err.Error())
 	return err
 }
 
@@ -1079,8 +1062,7 @@ type Stats struct {
 	Cache *CacheStats `json:"cache,omitempty"`
 	// Persist is present only when Config.Dir is set.
 	Persist *PersistStats `json:"persist,omitempty"`
-	// Trend is present unless Config.Trend.Disabled.
-	Trend *TrendStats `json:"trend,omitempty"`
+	Trend   *TrendStats   `json:"trend,omitempty"`
 	// Index is present unless Config.IndexDisabled.
 	Index *IndexStats `json:"index,omitempty"`
 }
@@ -1111,44 +1093,16 @@ func (s *Store) Stats() Stats {
 		Shards:      len(s.shards),
 		Cache:       s.cache.stats(),
 	}
-	fineStarts := make(map[int64]bool)
-	coarseStarts := make(map[int64]bool)
-	for _, sh := range s.shards {
-		st.Ingested += sh.ingested
-		if sh.lastIngest.After(st.LastIngest) {
-			st.LastIngest = sh.lastIngest
-		}
-		for k, w := range sh.fine {
-			fineStarts[k] = true
-			st.Series += len(w.series)
-			st.Nodes += w.nodes()
-		}
-		for k, w := range sh.coarse {
-			coarseStarts[k] = true
-			st.Series += len(w.series)
-			st.Nodes += w.nodes()
-		}
-		if sh.tracker != nil {
-			ts := sh.tracker.Stats()
-			if st.Trend == nil {
-				st.Trend = &TrendStats{}
-			}
-			st.Trend.Series += ts.Series
-			st.Trend.Frames += ts.Frames
-			st.Trend.Findings += ts.Findings
-			st.Trend.Suppressed += ts.Suppressed
-			st.Trend.Late += ts.Late
-		}
-		if sh.idx != nil {
-			if st.Index == nil {
-				st.Index = &IndexStats{Rebuilds: s.met.indexRebuilds.Value()}
-			}
-			st.Index.Frames += int64(sh.idx.in.Len())
-			st.Index.Postings += sh.idx.postings
-		}
+	oc := s.occupancyLocked()
+	st.Ingested, st.LastIngest = oc.ingested, oc.lastIngest
+	st.Series, st.Nodes = oc.series, oc.nodes
+	st.FineWindows, st.CoarseWindows = oc.fine, oc.coarse
+	ts := s.trendStatsLocked()
+	st.Trend = &ts
+	if !s.cfg.IndexDisabled {
+		ix := s.indexOccupancyLocked()
+		st.Index = &IndexStats{Rebuilds: s.met.indexRebuilds.Value(), Frames: ix.frames, Postings: ix.postings}
 	}
-	st.FineWindows = len(fineStarts)
-	st.CoarseWindows = len(coarseStarts)
 	if s.cfg.Dir != "" {
 		ps := &PersistStats{
 			Dir:               s.cfg.Dir,

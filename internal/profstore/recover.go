@@ -27,9 +27,8 @@ type RecoveryStats struct {
 	WALRecords         int64  `json:"wal_records"`
 	WALSkippedRecords  int64  `json:"wal_skipped_records"`
 	WALSkippedSegments int    `json:"wal_skipped_segments"`
-	// Migrated reports that the directory was adopted from another layout
-	// (the pre-shard single-store layout, or a different shard count) and
-	// re-committed under the current one.
+	// Migrated reports that the directory was adopted from a different
+	// shard count and re-committed under the current one.
 	Migrated bool     `json:"migrated,omitempty"`
 	Warnings []string `json:"warnings,omitempty"`
 }
@@ -84,25 +83,24 @@ func wipeShardDirs(dataDir string, from int) {
 //
 // Recover is also the migration path. The directory's committed layout is
 // named by its STORE.json (written atomically — the commit point of every
-// migration): shard directories it does not name, and pre-shard
-// single-store artifacts after a committed migration, are leftovers and
-// are wiped, never read. A directory committed under another layout — the
-// legacy single-store root, or a different shard count — is adopted by
-// routing every recovered series to its current shard and staging the
-// complete new layout under .migrate/ while every source file stays
-// untouched; one STORE.json write (naming the staging directory as
+// migration): shard directories it does not name are leftovers and are
+// wiped, never read. A directory committed under a different shard count
+// is adopted by routing every recovered series to its current shard and
+// staging the complete new layout under .migrate/ while every source file
+// stays untouched; one STORE.json write (naming the staging directory as
 // pending) then flips authority to the new layout, and the staged shard
 // directories swap into place before the old layout's files are removed.
+//
+// A directory in the pre-shard single-store layout (a root-level wal/ or
+// CURRENT and no STORE.json) is refused with an error naming the layout;
+// nothing in it is touched.
 // A crash before the STORE.json write leaves the old layout fully
 // authoritative (staging is junk the next boot wipes); a crash after it
 // is resumed by the next boot's swap — at every instant exactly one
 // layout is authoritative, never a torn mix.
 func (s *Store) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
-	var t0 time.Time
-	if s.met.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if s.cfg.Dir == "" {
 		return rs, fmt.Errorf("profstore: recover: no Config.Dir")
 	}
@@ -117,6 +115,9 @@ func (s *Store) Recover() (RecoveryStats, error) {
 	if err != nil {
 		return rs, fmt.Errorf("profstore: recover: %w", err)
 	}
+	if meta == nil && persist.LegacyLayoutPresent(dir) {
+		return rs, fmt.Errorf("profstore: recover: %w", errPreShard(dir))
+	}
 	if meta != nil && meta.Pending != "" {
 		// A committed migration died mid-swap. The staged layout is
 		// authoritative; finish the swap before reading any shard
@@ -126,19 +127,10 @@ func (s *Store) Recover() (RecoveryStats, error) {
 		}
 		rs.Warnings = append(rs.Warnings, "resumed an interrupted layout swap")
 	}
-	legacy := persist.LegacyLayoutPresent(dir)
 
 	var sources []string
 	migrate := false
 	switch {
-	case meta == nil && legacy:
-		// First boot over a pre-shard directory: the root itself is the
-		// only trusted source. Shard directories, if any, are handcrafted
-		// junk (an uncommitted migration never writes them — it stages
-		// under .migrate/) — wipe them.
-		wipeShardDirs(dir, 0)
-		sources = []string{dir}
-		migrate = true
 	case meta == nil:
 		// No committed layout. Normally a fresh directory; shard
 		// directories can only appear here handcrafted (ingest writes the
@@ -153,13 +145,6 @@ func (s *Store) Recover() (RecoveryStats, error) {
 		}
 		migrate = len(sources) > 0
 	default:
-		if legacy {
-			// A committed migration's leftovers; the data already lives in
-			// the shard directories. Clean, never read.
-			if err := persist.RemoveLegacyLayout(dir); err != nil {
-				rs.Warnings = append(rs.Warnings, fmt.Sprintf("legacy layout cleanup: %v", err))
-			}
-		}
 		// Shard directories beyond the committed count are leftovers the
 		// committed layout does not name — wipe, never read.
 		wipeShardDirs(dir, meta.Shards)
@@ -202,17 +187,15 @@ func (s *Store) Recover() (RecoveryStats, error) {
 	// disk round-trip on the first ingest.
 	s.noteMetaCommitted()
 	s.recovery.Store(&rs)
-	if s.met.timings {
-		d := time.Since(t0)
-		s.met.recoverySeconds.Observe(d)
-		s.met.journal.Record("recovery",
-			fmt.Sprintf("restored %d windows, replayed %d WAL records", rs.WindowsRestored, rs.WALRecords),
-			"windows", fmt.Sprint(rs.WindowsRestored),
-			"wal_records", fmt.Sprint(rs.WALRecords),
-			"skipped_records", fmt.Sprint(rs.WALSkippedRecords),
-			"migrated", fmt.Sprint(rs.Migrated),
-			"duration", d.String())
-	}
+	d := time.Since(t0)
+	s.met.recoverySeconds.Observe(d)
+	s.met.journal.Record("recovery",
+		fmt.Sprintf("restored %d windows, replayed %d WAL records", rs.WindowsRestored, rs.WALRecords),
+		"windows", fmt.Sprint(rs.WindowsRestored),
+		"wal_records", fmt.Sprint(rs.WALRecords),
+		"skipped_records", fmt.Sprint(rs.WALSkippedRecords),
+		"migrated", fmt.Sprint(rs.Migrated),
+		"duration", d.String())
 	return rs, nil
 }
 
@@ -272,7 +255,6 @@ func completeSwap(dataDir string, meta *persist.StoreMeta) error {
 		}
 	}
 	wipeShardDirs(dataDir, meta.Shards)
-	persist.RemoveLegacyLayout(dataDir)
 	os.RemoveAll(staging)
 	meta.Pending = ""
 	return persist.WriteStoreMeta(dataDir, *meta)
@@ -289,11 +271,11 @@ func (s *Store) emptyForRecover() bool {
 	return true
 }
 
-// recoverSource loads one persist layout (a shard directory, or the legacy
-// single-store root) into the store, routing every recovered series and
-// WAL record to its current shard. Within one series all data comes from
-// one source and replays in original ingest order, so per-series trees are
-// rebuilt byte-equal regardless of how routing changed.
+// recoverSource loads one shard directory into the store, routing every
+// recovered series and WAL record to its current shard. Within one series
+// all data comes from one source and replays in original ingest order, so
+// per-series trees are rebuilt byte-equal regardless of how routing
+// changed.
 func (s *Store) recoverSource(src string, rs *RecoveryStats) error {
 	var offsets map[int64]int64
 	indexAdopted := false
@@ -343,7 +325,7 @@ func (s *Store) recoverSource(src string, rs *RecoveryStats) error {
 		// per-series order, so the tracker converges with the pre-crash
 		// store. A corrupt blob degrades to rebuilding from retained
 		// windows only, reported but never fatal.
-		if len(snap.Trend) > 0 && !s.cfg.Trend.Disabled {
+		if len(snap.Trend) > 0 {
 			states, terr := trend.DecodeState(snap.Trend)
 			if terr != nil {
 				rs.Warnings = append(rs.Warnings, fmt.Sprintf("trend state discarded: %v", terr))
@@ -428,19 +410,12 @@ func (s *Store) recoverSource(src string, rs *RecoveryStats) error {
 	if !s.cfg.IndexDisabled && !indexAdopted &&
 		(rep.Records > 0 || (snap != nil && len(snap.Windows) > 0)) {
 		s.met.indexRebuilds.Inc()
-		if s.met.timings {
-			s.met.journal.Record("index_rebuild",
-				fmt.Sprintf("source %s carried no usable frame index; rebuilding from retained windows", filepath.Base(src)),
-				"source", filepath.Base(src))
-		}
+		s.met.journal.Record("index_rebuild",
+			fmt.Sprintf("source %s carried no usable frame index; rebuilding from retained windows", filepath.Base(src)),
+			"source", filepath.Base(src))
 	}
-	if len(rep.Warnings) > 0 && src != s.cfg.Dir {
-		prefix := filepath.Base(src) + ": "
-		for _, w := range rep.Warnings {
-			rs.Warnings = append(rs.Warnings, prefix+w)
-		}
-	} else {
-		rs.Warnings = append(rs.Warnings, rep.Warnings...)
+	for _, w := range rep.Warnings {
+		rs.Warnings = append(rs.Warnings, filepath.Base(src)+": "+w)
 	}
 	return nil
 }

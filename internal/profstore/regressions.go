@@ -29,9 +29,6 @@ type RegressionQuery struct {
 // Findings reflect windows already observed; call TrendSweep first to
 // observe windows that closed since the last ingest.
 func (s *Store) Regressions(q RegressionQuery) []trend.Finding {
-	if s.cfg.Trend.Disabled {
-		return nil
-	}
 	s.rlockAll()
 	var all []trend.Finding
 	for _, sh := range s.shards {
@@ -62,22 +59,14 @@ func (s *Store) Regressions(q RegressionQuery) []trend.Finding {
 // incrementally. Query handlers call it so findings and the fleet-query
 // index are current even when ingest has gone quiet.
 func (s *Store) TrendSweep() {
-	if s.cfg.Trend.Disabled && s.cfg.IndexDisabled {
-		return
-	}
-	var t0 time.Time
-	if s.met.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	now := s.cfg.Now()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.closeWindowsLocked(now)
 		sh.mu.Unlock()
 	}
-	if s.met.timings {
-		s.met.sweepSeconds.Observe(time.Since(t0))
-	}
+	s.met.sweepSeconds.Observe(time.Since(t0))
 }
 
 // TrendStats summarizes the regression detector across all shards.

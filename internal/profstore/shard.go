@@ -131,10 +131,10 @@ type shard struct {
 	lastIngest time.Time
 
 	// tracker holds the shard's regression-detection state (series are
-	// disjoint across shards, so trackers never overlap); nil when trend
-	// tracking is disabled. Guarded by mu like the window maps: observation
-	// happens under the write lock at ingest/compaction, reads (findings,
-	// stats, snapshot capture) under at least the read lock.
+	// disjoint across shards, so trackers never overlap). Guarded by mu
+	// like the window maps: observation happens under the write lock at
+	// ingest/compaction, reads (findings, stats, snapshot capture) under
+	// at least the read lock.
 	tracker *trend.Tracker
 	// idx is the shard's inverted frame index for the fleet queries,
 	// fed at the same window-close points as the tracker; nil when
@@ -162,18 +162,16 @@ type shard struct {
 
 func newShard(id int, cfg Config, met *storeMetrics) *shard {
 	sh := &shard{
-		id:     id,
-		cfg:    cfg,
-		fine:   make(map[int64]*window),
-		coarse: make(map[int64]*window),
-		gens:   make(map[winKey]uint64),
-		met:    met,
+		id:      id,
+		cfg:     cfg,
+		fine:    make(map[int64]*window),
+		coarse:  make(map[int64]*window),
+		gens:    make(map[winKey]uint64),
+		met:     met,
+		tracker: trend.New(cfg.Trend),
 	}
 	if cfg.Dir != "" {
 		sh.dir = shardDir(cfg.Dir, id)
-	}
-	if !cfg.Trend.Disabled {
-		sh.tracker = trend.New(cfg.Trend)
 	}
 	if !cfg.IndexDisabled {
 		sh.idx = newFrameIndex()
@@ -193,81 +191,36 @@ func shardDir(dataDir string, id int) string {
 	return filepath.Join(dataDir, fmt.Sprintf("shard-%d", id))
 }
 
-// ingest appends to the shard's WAL (when durable) and merges the plan
-// into the current fine window of the series key names. payload is nil
-// for memory-only stores.
-func (sh *shard) ingest(key string, labels Labels, plan *cct.Plan, payload []byte) (time.Time, error) {
-	var t0 time.Time
-	if sh.met.timings {
-		t0 = time.Now()
-	}
+// write is the shard's one locked ingest. Under one acquisition of the
+// write lock it reads the clock once, runs the close pass a window
+// transition calls for, then appends (when durable) and merges each entry
+// in order, so log order equals merge order. A WAL failure stops it:
+// earlier entries are fully applied, as a sequence of single ingests
+// would leave them. It returns the fine window the entries landed in.
+func (sh *shard) write(entries []PreparedProfile) (time.Time, error) {
+	t0 := time.Now()
 	sh.mu.Lock()
-	if sh.met.timings {
-		sh.met.lockWaitSeconds.Observe(time.Since(t0))
-	}
+	sh.met.lockWaitSeconds.Observe(time.Since(t0))
 	defer sh.mu.Unlock()
 	now := sh.cfg.Now()
 	start := now.Truncate(sh.cfg.Window)
-	if payload != nil {
-		if err := sh.walAppendLocked(start.UnixNano(), now.UnixNano(), payload); err != nil {
-			return time.Time{}, err
+	if ns := start.UnixNano(); ns != sh.curWinNS {
+		if ns < sh.closeCursor {
+			sh.tracker.NoteLate()
+		} else {
+			// A new window opened: everything before it has closed.
+			sh.closeWindowsLocked(now)
+			sh.curWinNS = ns
 		}
 	}
-	if sh.tracker != nil || sh.idx != nil {
-		if ns := start.UnixNano(); ns != sh.curWinNS {
-			if ns < sh.closeCursor {
-				if sh.tracker != nil {
-					sh.tracker.NoteLate()
-				}
-			} else {
-				// A new window opened: everything before it has closed.
-				sh.closeWindowsLocked(now)
-				sh.curWinNS = ns
-			}
-		}
-	}
-	sh.mergeIntoWindowLocked(start, key, labels, plan)
-	sh.ingested++
-	sh.lastIngest = now
-	return start, nil
-}
-
-// ingestBatch applies the batch entries selected by idxs (in order) under
-// one acquisition of the shard's write lock: one clock read, one
-// window-close pass, then WAL append + merge per entry exactly as ingest.
-// A WAL failure aborts the batch; earlier entries are fully applied
-// (appended and merged), matching a sequence of single ingests.
-func (sh *shard) ingestBatch(batch []PreparedProfile, idxs []int) (time.Time, error) {
-	var t0 time.Time
-	if sh.met.timings {
-		t0 = time.Now()
-	}
-	sh.mu.Lock()
-	if sh.met.timings {
-		sh.met.lockWaitSeconds.Observe(time.Since(t0))
-	}
-	defer sh.mu.Unlock()
-	now := sh.cfg.Now()
-	start := now.Truncate(sh.cfg.Window)
-	if sh.tracker != nil || sh.idx != nil {
-		if ns := start.UnixNano(); ns != sh.curWinNS {
-			if ns < sh.closeCursor {
-				if sh.tracker != nil {
-					sh.tracker.NoteLate()
-				}
-			} else {
-				sh.closeWindowsLocked(now)
-				sh.curWinNS = ns
-			}
-		}
-	}
-	for _, i := range idxs {
-		if batch[i].payload != nil {
-			if err := sh.walAppendLocked(start.UnixNano(), now.UnixNano(), batch[i].payload); err != nil {
+	for i := range entries {
+		e := &entries[i]
+		if e.payload != nil {
+			if err := sh.walAppendLocked(start.UnixNano(), now.UnixNano(), e.payload); err != nil {
 				return time.Time{}, err
 			}
 		}
-		sh.mergeIntoWindowLocked(start, batch[i].key, batch[i].labels, batch[i].plan)
+		sh.mergeIntoWindowLocked(start, e.key, e.labels, e.plan)
 		sh.ingested++
 	}
 	sh.lastIngest = now
@@ -281,13 +234,7 @@ func (sh *shard) ingestBatch(batch []PreparedProfile, idxs []int) (time.Time, er
 // asOf passes its end; from then on its trees are immutable, so one pass
 // is final. Callers hold sh.mu exclusively.
 func (sh *shard) closeWindowsLocked(asOf time.Time) {
-	if sh.tracker == nil && sh.idx == nil {
-		return
-	}
-	var t0 time.Time
-	if sh.met.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	closed := 0
 	asNS := asOf.UnixNano()
 	metric := sh.cfg.Trend.Metric
@@ -301,10 +248,8 @@ func (sh *shard) closeWindowsLocked(asOf time.Time) {
 		}
 		for _, key := range sortedKeys(w.series) {
 			ser := w.series[key]
-			if sh.tracker != nil {
-				if shares, ok := metricShares(ser.tree, metric); ok {
-					sh.tracker.Observe(key, ser.labels.Workload, ser.labels.Vendor, ser.labels.Framework, k, shares)
-				}
+			if shares, ok := metricShares(ser.tree, metric); ok {
+				sh.tracker.Observe(key, ser.labels.Workload, ser.labels.Vendor, ser.labels.Framework, k, shares)
 			}
 			if sh.idx != nil && ser.agg == nil {
 				ser.agg = computeSeriesAgg(ser.tree)
@@ -313,16 +258,12 @@ func (sh *shard) closeWindowsLocked(asOf time.Time) {
 		}
 		sh.closeCursor = k + 1
 		closed++
-		if sh.met.timings {
-			sh.met.journal.Record("window_close", fmt.Sprintf("shard %d closed window %s (%d series)", sh.id, w.start.UTC().Format(time.RFC3339), len(w.series)),
-				"shard", fmt.Sprint(sh.id), "start", w.start.UTC().Format(time.RFC3339), "series", fmt.Sprint(len(w.series)))
-		}
+		sh.met.journal.Record("window_close", fmt.Sprintf("shard %d closed window %s (%d series)", sh.id, w.start.UTC().Format(time.RFC3339), len(w.series)),
+			"shard", fmt.Sprint(sh.id), "start", w.start.UTC().Format(time.RFC3339), "series", fmt.Sprint(len(w.series)))
 	}
 	if closed > 0 {
 		sh.met.windowsClosed.Add(int64(closed))
-		if sh.met.timings {
-			sh.met.closeSeconds.Observe(time.Since(t0))
-		}
+		sh.met.closeSeconds.Observe(time.Since(t0))
 	}
 }
 
@@ -375,12 +316,7 @@ func (sh *shard) openWALLocked() error {
 	if err != nil {
 		return err
 	}
-	m := persist.WALMetrics{Fsyncs: sh.met.walFsyncs}
-	if sh.met.timings {
-		m.AppendSeconds = sh.met.walAppendSeconds
-		m.FsyncSeconds = sh.met.walFsyncSeconds
-	}
-	w.SetMetrics(m)
+	w.SetMetrics(persist.WALMetrics{Fsyncs: sh.met.walFsyncs, AppendSeconds: sh.met.walAppendSeconds, FsyncSeconds: sh.met.walFsyncSeconds})
 	sh.wal = w
 	return nil
 }
@@ -532,19 +468,14 @@ func (sh *shard) captureLocked(now time.Time, compactions int64, offsets map[int
 	if !sh.lastIngest.IsZero() {
 		state.LastIngestUnixNano = sh.lastIngest.UnixNano()
 	}
-	if sh.tracker != nil {
-		blob, err := sh.tracker.EncodeState()
-		if err != nil {
-			return nil, fmt.Errorf("profstore: shard %d encode trend state: %w", sh.id, err)
-		}
-		state.Trend = blob
+	var err error
+	if state.Trend, err = sh.tracker.EncodeState(); err != nil {
+		return nil, fmt.Errorf("profstore: shard %d encode trend state: %w", sh.id, err)
 	}
 	if sh.idx != nil {
-		blob, err := sh.idx.encodeState()
-		if err != nil {
+		if state.Index, err = sh.idx.encodeState(); err != nil {
 			return nil, fmt.Errorf("profstore: shard %d encode index state: %w", sh.id, err)
 		}
-		state.Index = blob
 	}
 	appendWindow := func(w *window, coarse bool) {
 		ws := persist.WindowState{Start: w.start.UnixNano(), DurNS: int64(w.dur), Coarse: coarse}

@@ -38,11 +38,8 @@ import (
 	"sort"
 )
 
-// Config tunes the detector. The zero value means "use defaults"; set
-// Disabled to opt out entirely.
+// Config tunes the detector. The zero value means "use defaults".
 type Config struct {
-	// Disabled turns trend tracking off (no state, no findings).
-	Disabled bool
 	// Metric is the tracked metric name (default gpu_time_ns).
 	Metric string
 	// Band is the absolute share-deviation noise floor (default 0.05: a
