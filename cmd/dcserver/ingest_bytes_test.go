@@ -399,13 +399,14 @@ func TestWALHoldsReceivedBytes(t *testing.T) {
 			if code, msg := postBytes(t, cl[0].url()+"/ingest", bundle.Bytes()); code != http.StatusAccepted {
 				t.Fatalf("bundle: status %d: %s", code, msg)
 			}
-			decoded, err := profdb.DecodeBundle(bundle.Bytes())
+			ps, err := profdb.PlanBundle(bundle.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range decoded {
-				want = append(want, e.Encoded())
+			for i := range ps.Records {
+				want = append(want, ps.Records[i].Encoded())
 			}
+			ps.Release()
 
 			var log []byte
 			for _, nd := range cl {

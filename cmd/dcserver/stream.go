@@ -76,7 +76,6 @@ type streamSession struct {
 	mu      sync.Mutex
 	dec     *profdb.DeltaDecoder
 	cursors map[string]*profdb.SeriesCursor
-	lastSeq uint64
 	gone    atomic.Bool
 	lastUse atomic.Int64 // unix nanoseconds, for LRU eviction
 }
@@ -311,9 +310,8 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			key := profstore.LabelsOf(f.Meta).Key()
-			seen := sess.cursors[key] != nil
-			cur := sess.cursors[key]
-			if cur == nil {
+			cur, seen := sess.cursors[key]
+			if !seen {
 				cur = &profdb.SeriesCursor{}
 				sess.cursors[key] = cur
 			}
@@ -388,7 +386,6 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		sess.lastSeq = b.Seq
 		if b.Close {
 			s.streams.close(sess)
 			ack.Closed = true

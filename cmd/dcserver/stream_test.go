@@ -483,6 +483,55 @@ func TestStreamTruncatedBatchDropsSession(t *testing.T) {
 	assertStoresAgree(t, store, ref)
 }
 
+// TestStreamFullFrameMustMatchItsFrame sends full frames whose database
+// disagrees with the frame: one holds two profiles, one holds a profile of
+// another series than the frame's Meta. /stream keys the cursor (and, in a
+// cluster, picks the owner) by the frame's Meta while the store would file
+// the profile under its own labels, so both must be NACKed as corrupt and
+// neither series ingested.
+func TestStreamFullFrameMustMatchItsFrame(t *testing.T) {
+	clock := &testClock{t: testBase}
+	ts, store := newTestServer(t, clock, profdb.DefaultMaxBytes)
+
+	a, b, c := testProfile("UNet", 1), testProfile("DLRM", 2), testProfile("Resnet", 3)
+	bundle, err := profdb.EncodeBundle([]profdb.Entry{{Profile: a}, {Profile: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := profdb.EncodeBundle([]profdb.Entry{{Profile: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := profdb.WriteBatch(gob.NewEncoder(&buf), &profdb.StreamBatch{Seq: 1, Frames: []profdb.StreamFrame{
+		{Magic: profdb.FormatMagicV3, Epoch: 1, Seq: 1, Meta: a.Meta, Full: bundle},
+		{Magic: profdb.FormatMagicV3, Epoch: 1, Seq: 1, Meta: c.Meta, Full: single},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/stream?session=mismatch", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack streamAck
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, ack err %v", resp.StatusCode, err)
+	}
+	if ack.Applied != 0 || len(ack.Nacks) != 2 {
+		t.Fatalf("ack = %+v, want both frames NACKed", ack)
+	}
+	for i, want := range []*profiler.Profile{a, c} {
+		n := ack.Nacks[i]
+		if n.Reason != "corrupt" || n.Series != profstore.LabelsOf(want.Meta).Key() {
+			t.Errorf("nack %d = %+v, want a corrupt NACK for %s", i, n, profstore.LabelsOf(want.Meta).Key())
+		}
+	}
+	if got := store.Stats().Ingested; got != 0 {
+		t.Fatalf("mismatched full frames ingested %d profiles", got)
+	}
+}
+
 // TestStreamServerRestartMidSession re-creates the handler (fresh stream
 // registry, same store) underneath an established session — a server
 // restart from the client's point of view. The client must detect the

@@ -3,7 +3,8 @@
 // message in this encoding. Requests stay small JSON bodies and error
 // answers stay dcserver's {"error": ...}; only the bulk — partial trees,
 // aggregates, findings — travels here, written and read by plain
-// bounds-checked code, as profdb v4 is.
+// bounds-checked code over the primitives of package wire, which profdb v4
+// shares.
 //
 //	message  := magic uvarint(version) response
 //	response := set opt(diff) opt(diff) uvarint(nFindings) { finding } opt(stats)
@@ -44,13 +45,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
 	"net/http"
 	"strconv"
 
 	"deepcontext/internal/profstore"
 	"deepcontext/internal/profstore/trend"
+	"deepcontext/internal/wire"
 )
 
 const wireMagic = "DEEPCONTEXT-PEER"
@@ -90,7 +90,7 @@ func EncodePartials(resp *PartialsResponse) []byte {
 	b = append(b, wireMagic...)
 	b = binary.AppendUvarint(b, WireVersion)
 	b = appendPartialList(b, resp.Set.Series)
-	b = appendBytes(b, resp.Set.Trend)
+	b = wire.AppendBytes(b, resp.Set.Trend)
 	b = appendDiff(b, resp.Before)
 	b = appendDiff(b, resp.After)
 	b = binary.AppendUvarint(b, uint64(len(resp.Findings)))
@@ -120,27 +120,6 @@ func partialsSize(ps []profstore.SeriesPartial) int {
 	return n
 }
 
-func appendBytes(b, s []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(f)))
-}
-
 func appendPartialList(b []byte, ps []profstore.SeriesPartial) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ps)))
 	for i := range ps {
@@ -150,15 +129,15 @@ func appendPartialList(b []byte, ps []profstore.SeriesPartial) []byte {
 }
 
 func appendPartial(b []byte, p *profstore.SeriesPartial) []byte {
-	b = appendBool(b, p.Bucket.Coarse)
+	b = wire.AppendBool(b, p.Bucket.Coarse)
 	b = binary.AppendVarint(b, p.Bucket.StartNS)
 	b = binary.AppendVarint(b, p.Bucket.DurNS)
-	b = appendStr(b, p.Key)
-	b = appendStr(b, p.Labels.Workload)
-	b = appendStr(b, p.Labels.Vendor)
-	b = appendStr(b, p.Labels.Framework)
+	b = wire.AppendStr(b, p.Key)
+	b = wire.AppendStr(b, p.Labels.Workload)
+	b = wire.AppendStr(b, p.Labels.Vendor)
+	b = wire.AppendStr(b, p.Labels.Framework)
 	b = binary.AppendVarint(b, int64(p.Profiles))
-	b = appendBytes(b, p.Tree)
+	b = wire.AppendBytes(b, p.Tree)
 	a := p.Agg
 	if a == nil {
 		return append(b, 0)
@@ -167,14 +146,14 @@ func appendPartial(b []byte, p *profstore.SeriesPartial) []byte {
 	for _, list := range [][]string{a.Labels, a.Kinds, a.Metrics} {
 		b = binary.AppendUvarint(b, uint64(len(list)))
 		for _, s := range list {
-			b = appendStr(b, s)
+			b = wire.AppendStr(b, s)
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(a.Sums)))
 	for _, row := range a.Sums {
 		b = binary.AppendUvarint(b, uint64(len(row)))
 		for _, f := range row {
-			b = appendFloat(b, f)
+			b = wire.AppendFloat(b, f)
 		}
 	}
 	return b
@@ -187,21 +166,21 @@ func appendDiff(b []byte, d *profstore.DiffPartials) []byte {
 	b = append(b, 1)
 	b = binary.AppendVarint(b, d.FineStartNS)
 	b = binary.AppendVarint(b, d.CoarseStartNS)
-	b = appendBool(b, d.FineExists)
-	b = appendBool(b, d.CoarseExists)
+	b = wire.AppendBool(b, d.FineExists)
+	b = wire.AppendBool(b, d.CoarseExists)
 	b = appendPartialList(b, d.Fine)
 	return appendPartialList(b, d.Coarse)
 }
 
 func appendFinding(b []byte, f *trend.Finding) []byte {
 	for _, s := range []string{f.Series, f.Workload, f.Vendor, f.Framework, f.Frame, f.Metric} {
-		b = appendStr(b, s)
+		b = wire.AppendStr(b, s)
 	}
 	b = binary.AppendVarint(b, int64(f.Direction))
 	b = binary.AppendVarint(b, f.BeforeUnixNano)
 	b = binary.AppendVarint(b, f.AfterUnixNano)
 	for _, v := range []float64{f.BeforeShare, f.Share, f.BaselineShare, f.BaselineSigma, f.Band} {
-		b = appendFloat(b, v)
+		b = wire.AppendFloat(b, v)
 	}
 	return binary.AppendVarint(b, int64(f.Windows))
 }
@@ -214,32 +193,29 @@ func DecodePartials(msg []byte) (*PartialsResponse, error) {
 		head := msg[:min(len(msg), 16)]
 		return nil, fmt.Errorf("%w: message starts %q, not the peer wire magic (a node of an older release answers JSON)", ErrWireVersion, head)
 	}
-	r := &wireReader{b: msg, off: len(wireMagic)}
-	if v := r.uvarint(); r.err == nil && v != WireVersion {
+	r := &peerReader{Reader: wire.NewReader(msg, len(wireMagic), ErrMalformed)}
+	if v := r.Uvarint(); r.Err() == nil && v != WireVersion {
 		return nil, fmt.Errorf("%w: message is version %d, this node speaks %d", ErrWireVersion, v, WireVersion)
 	}
 	resp := &PartialsResponse{}
 	resp.Set.Series = r.partialList()
-	resp.Set.Trend = r.bytes()
+	resp.Set.Trend = r.Bytes()
 	resp.Before = r.diff()
 	resp.After = r.diff()
-	if n := r.count("findings", minFindingBytes); n > 0 {
+	if n := r.Count("findings", minFindingBytes); n > 0 {
 		resp.Findings = make([]trend.Finding, n)
 		for i := range resp.Findings {
 			r.finding(&resp.Findings[i])
 		}
 	}
-	if r.bool() {
+	if r.Bool() {
 		resp.Trend = &profstore.TrendStats{
-			Series: int(r.varint()), Frames: int(r.varint()),
-			Findings: r.varint(), Suppressed: r.varint(), Late: r.varint(),
+			Series: int(r.Varint()), Frames: int(r.Varint()),
+			Findings: r.Varint(), Suppressed: r.Varint(), Late: r.Varint(),
 		}
 	}
-	if r.err == nil && r.off != len(r.b) {
-		r.fail("%d trailing bytes", len(r.b)-r.off)
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
@@ -255,106 +231,20 @@ func WritePartials(w http.ResponseWriter, resp *PartialsResponse) {
 	w.Write(msg)
 }
 
-// wireReader is a bounds-checked cursor over a peer message with a sticky
-// error: after the first failure every read returns zero.
-type wireReader struct {
-	b    []byte
-	off  int
-	err  error
+// peerReader reads a peer message over the shared bounds-checked reader.
+type peerReader struct {
+	wire.Reader
 	slab []float64 // aggregate rows are carved from shared blocks
 }
 
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrMalformed}, args...)...)
-	}
-}
-
-func (r *wireReader) remaining() int { return len(r.b) - r.off }
-
-// uvarint reads a minimal uvarint: a longer spelling of the same value
-// would not re-encode to the bytes it came from.
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
-		r.fail("bad varint at byte %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	u := r.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
-
-func (r *wireReader) float() float64 {
-	return math.Float64frombits(bits.ReverseBytes64(r.uvarint()))
-}
-
-func (r *wireReader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.b) || r.b[r.off] > 1 {
-		r.fail("bad boolean or marker at byte %d", r.off)
-		return false
-	}
-	r.off++
-	return r.b[r.off-1] == 1
-}
-
-// bytes returns the next length-prefixed field without copying; empty is
-// nil.
-func (r *wireReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.remaining()) {
-		r.fail("length %d at byte %d exceeds the %d bytes remaining", n, r.off, r.remaining())
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	s := r.b[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return s
-}
-
-func (r *wireReader) str() string { return string(r.bytes()) }
-
-// count reads an element count and checks it against the bytes remaining
-// at minBytes per element.
-func (r *wireReader) count(what string, minBytes int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.remaining()/minBytes) {
-		r.fail("%d %s at byte %d cannot fit in the %d bytes remaining", n, what, r.off, r.remaining())
-		return 0
-	}
-	return int(n)
-}
-
-func (r *wireReader) strs(what string) []string {
-	n := r.count(what, 1)
+func (r *peerReader) strs(what string) []string {
+	n := r.Count(what, 1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = r.str()
+		out[i] = r.Str()
 	}
 	return out
 }
@@ -362,45 +252,45 @@ func (r *wireReader) strs(what string) []string {
 // floats reads one aggregate row into a block shared with its neighbours.
 // Every float occupies at least one input byte, which bounds a block — and
 // so all row memory — by the message size.
-func (r *wireReader) floats() []float64 {
-	n := r.count("floats", 1)
+func (r *peerReader) floats() []float64 {
+	n := r.Count("floats", 1)
 	if n == 0 {
 		return nil
 	}
 	if n > len(r.slab) {
-		r.slab = make([]float64, max(n, min(512, r.remaining())))
+		r.slab = make([]float64, max(n, min(512, r.Remaining())))
 	}
 	row := r.slab[:n:n]
 	r.slab = r.slab[n:]
 	for i := range row {
-		row[i] = r.float()
+		row[i] = r.Float()
 	}
 	return row
 }
 
-func (r *wireReader) partialList() []profstore.SeriesPartial {
-	n := r.count("partials", minPartialBytes)
+func (r *peerReader) partialList() []profstore.SeriesPartial {
+	n := r.Count("partials", minPartialBytes)
 	if n == 0 {
 		return nil
 	}
 	out := make([]profstore.SeriesPartial, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		r.partial(&out[i])
 	}
 	return out
 }
 
-func (r *wireReader) partial(p *profstore.SeriesPartial) {
-	p.Bucket = profstore.PartialBucket{Coarse: r.bool(), StartNS: r.varint(), DurNS: r.varint()}
-	p.Key = r.str()
-	p.Labels = profstore.Labels{Workload: r.str(), Vendor: r.str(), Framework: r.str()}
-	p.Profiles = int(r.varint())
-	p.Tree = r.bytes()
-	if !r.bool() {
+func (r *peerReader) partial(p *profstore.SeriesPartial) {
+	p.Bucket = profstore.PartialBucket{Coarse: r.Bool(), StartNS: r.Varint(), DurNS: r.Varint()}
+	p.Key = r.Str()
+	p.Labels = profstore.Labels{Workload: r.Str(), Vendor: r.Str(), Framework: r.Str()}
+	p.Profiles = int(r.Varint())
+	p.Tree = r.Bytes()
+	if !r.Bool() {
 		return
 	}
 	a := &profstore.AggData{Labels: r.strs("labels"), Kinds: r.strs("kinds"), Metrics: r.strs("metrics")}
-	if n := r.count("aggregate rows", 1); n > 0 {
+	if n := r.Count("aggregate rows", 1); n > 0 {
 		a.Sums = make([][]float64, n)
 		for i := range a.Sums {
 			a.Sums[i] = r.floats()
@@ -409,23 +299,23 @@ func (r *wireReader) partial(p *profstore.SeriesPartial) {
 	p.Agg = a
 }
 
-func (r *wireReader) diff() *profstore.DiffPartials {
-	if !r.bool() {
+func (r *peerReader) diff() *profstore.DiffPartials {
+	if !r.Bool() {
 		return nil
 	}
 	return &profstore.DiffPartials{
-		FineStartNS: r.varint(), CoarseStartNS: r.varint(),
-		FineExists: r.bool(), CoarseExists: r.bool(),
+		FineStartNS: r.Varint(), CoarseStartNS: r.Varint(),
+		FineExists: r.Bool(), CoarseExists: r.Bool(),
 		Fine: r.partialList(), Coarse: r.partialList(),
 	}
 }
 
-func (r *wireReader) finding(f *trend.Finding) {
-	f.Series, f.Workload, f.Vendor = r.str(), r.str(), r.str()
-	f.Framework, f.Frame, f.Metric = r.str(), r.str(), r.str()
-	f.Direction = int(r.varint())
-	f.BeforeUnixNano, f.AfterUnixNano = r.varint(), r.varint()
-	f.BeforeShare, f.Share, f.BaselineShare = r.float(), r.float(), r.float()
-	f.BaselineSigma, f.Band = r.float(), r.float()
-	f.Windows = int(r.varint())
+func (r *peerReader) finding(f *trend.Finding) {
+	f.Series, f.Workload, f.Vendor = r.Str(), r.Str(), r.Str()
+	f.Framework, f.Frame, f.Metric = r.Str(), r.Str(), r.Str()
+	f.Direction = int(r.Varint())
+	f.BeforeUnixNano, f.AfterUnixNano = r.Varint(), r.Varint()
+	f.BeforeShare, f.Share, f.BaselineShare = r.Float(), r.Float(), r.Float()
+	f.BaselineSigma, f.Band = r.Float(), r.Float()
+	f.Windows = int(r.Varint())
 }

@@ -459,7 +459,9 @@ func (d *DeltaDecoder) AddFrames(f *StreamFrame) error {
 }
 
 // Apply materializes one stream frame. For a full frame it decodes the
-// embedded database and resets the cursor under the frame's epoch. For a
+// embedded database, which must hold exactly one profile carrying the
+// frame's Meta (a receiver keys and routes the series by f.Meta), and
+// resets the cursor under the frame's epoch. For a
 // delta frame it verifies position (epoch, sequence) and base checksum —
 // failing with ErrStaleBase before touching the cursor — then mutates
 // cur.Base in place into the new profile and verifies it reaches CurSum.
@@ -475,7 +477,13 @@ func (d *DeltaDecoder) Apply(cur *SeriesCursor, f *StreamFrame) (*profiler.Profi
 		if err != nil {
 			return nil, err
 		}
+		if len(entries) != 1 {
+			return nil, fmt.Errorf("profdb: full frame holds %d profiles, not one: %w", len(entries), ErrCorrupt)
+		}
 		p := entries[0].Profile
+		if p.Meta != f.Meta {
+			return nil, fmt.Errorf("profdb: full frame for %+v holds a profile of %+v: %w", f.Meta, p.Meta, ErrCorrupt)
+		}
 		cur.Base, cur.Sum, cur.Epoch, cur.Seq = p, Checksum(p), f.Epoch, f.Seq
 		return p, nil
 	}

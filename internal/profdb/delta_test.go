@@ -347,6 +347,28 @@ func TestDeltaApplyRejectsCorruptFrames(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
+
+	// A full frame must be one profile of the series the frame names: a
+	// receiver keys the cursor, and in a cluster picks the owner, by
+	// f.Meta, and would otherwise store a profile under other labels.
+	other := cloneProfile(t, cur)
+	other.Meta.Workload = "dlrm"
+	for name, full := range map[string][]byte{
+		"full frame holding two profiles": saveBytes(t, Entry{Profile: cur}, Entry{Profile: other}),
+		"full frame of another series":    saveBytes(t, Entry{Profile: other}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dec, cursor, _ := fresh(t)
+			before := *cursor
+			f := StreamFrame{Magic: FormatMagicV3, Epoch: 2, Seq: 1, Meta: cur.Meta, Full: full}
+			if _, err := dec.Apply(cursor, &f); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if *cursor != before {
+				t.Fatal("a rejected full frame moved the cursor")
+			}
+		})
+	}
 }
 
 // The checksum must not see metric-array padding or frame fields outside

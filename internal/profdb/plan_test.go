@@ -171,8 +171,8 @@ func TestNormalizeAddressesEqualsReference(t *testing.T) {
 	}
 }
 
-// A legacy gob body plans through its decoded tree, and its Encoded form
-// is the v4 encoding of that tree.
+// A legacy gob body is upgraded to v4 at the door and planned like any
+// other: its Encoded form is the v4 encoding of its tree, name included.
 func TestPlanBundleLegacy(t *testing.T) {
 	legacy := legacyFixture(t)
 	entries, err := DecodeBundle(legacy)
@@ -192,8 +192,8 @@ func TestPlanBundleLegacy(t *testing.T) {
 		if rec.Name != e.Name || rec.Meta != e.Profile.Meta {
 			t.Fatalf("record %d: name or meta differ", i)
 		}
-		back, err := Decode(rec.Encoded())
-		if err != nil || Checksum(back) != Checksum(&profiler.Profile{Tree: e.Profile.Tree, Meta: e.Profile.Meta}) {
+		back, err := DecodeBundle(rec.Encoded())
+		if err != nil || back[0].Name != e.Name || Checksum(back[0].Profile) != Checksum(e.Profile) {
 			t.Fatalf("record %d: Encoded is not the profile's v4 encoding (%v)", i, err)
 		}
 		got, want := cct.New(), cct.New()
@@ -274,10 +274,11 @@ func fuzzSeedsPlan(tb testing.TB) [][]byte {
 	)
 }
 
-// FuzzPlanRecord holds the planner to the tree decoder over arbitrary
-// bytes: it never panics, it accepts exactly what DecodeBundle accepts,
-// what it accepts merges without panic, and the merge equals the reference
-// normalization of the decoded tree merged the old way, bit for bit.
+// FuzzPlanRecord holds the parser's two sinks to each other over arbitrary
+// bytes: it never panics, a plan accepts exactly what a tree accepts, each
+// planned record's received bytes decode back to its tree, what it accepts
+// merges without panic, and the merge equals the reference normalization
+// of the decoded tree merged the old way, bit for bit.
 func FuzzPlanRecord(f *testing.F) {
 	for _, seed := range fuzzSeedsPlan(f) {
 		f.Add(seed)
@@ -309,6 +310,9 @@ func FuzzPlanRecord(f *testing.F) {
 			rec := &ps.Records[i]
 			if rec.Name != e.Name || rec.Meta != e.Profile.Meta {
 				t.Fatalf("record %d: name or meta differ from the decoder's", i)
+			}
+			if back, err := Decode(rec.Encoded()); err != nil || equivalentBits(e.Profile.Tree, back.Tree) != nil {
+				t.Fatalf("record %d: its received bytes do not decode back to it (%v)", i, err)
 			}
 			got, want := cct.New(), cct.New()
 			for pass := 0; pass < 2; pass++ {

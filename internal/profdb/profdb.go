@@ -7,10 +7,12 @@
 // The format is versioned by its leading magic. Version 4 (v4.go) is the
 // only one written: a hand-rolled, length-prefixed multi-profile container
 // holding any number of named profiles (per-shard results of a batch run, a
-// before/after pair, or a single profile, the common case). Version 3
-// (delta.go) frames streaming sessions. Version 2, the gob encoding older
-// binaries wrote, is still read (legacy.go) so existing files, WAL segments
-// and snapshots keep loading; version 1 is no longer understood.
+// before/after pair, or a single profile, the common case). One parser
+// reads it, into trees (DecodeBundle and the loaders) or into merge plans
+// (PlanBundle, plan.go). Version 3 (delta.go) frames streaming sessions.
+// Version 2, the gob encoding older binaries wrote, is still read
+// (legacy.go), upgraded to v4 bytes at the door, so existing files, WAL
+// segments and snapshots keep loading; version 1 is no longer understood.
 package profdb
 
 import (
@@ -25,6 +27,7 @@ import (
 
 	"deepcontext/internal/cct"
 	"deepcontext/internal/profiler"
+	"deepcontext/internal/wire"
 )
 
 // FormatMagic identifies the current database format; the trailing number
@@ -51,30 +54,6 @@ var (
 type Entry struct {
 	Name    string
 	Profile *profiler.Profile
-
-	// record is the validated v4 record the entry was decoded from and body
-	// the whole database when that record was its only one; both are nil
-	// for entries built by hand or read from a legacy file.
-	record, body []byte
-}
-
-// Encoded returns the entry as a standalone single-profile v4 database made
-// of the very bytes it was decoded from — the received body itself when it
-// held just this profile, otherwise a fresh header in front of the entry's
-// record — so a server can log or forward what it validated instead of
-// encoding the profile again. It returns nil for an entry that was not
-// decoded from v4 bytes. The result aliases the decoder's input.
-func (e Entry) Encoded() []byte { return standalone(e.record, e.body) }
-
-// standalone returns body when set, otherwise a fresh single-record
-// database around record (nil when both are nil).
-func standalone(record, body []byte) []byte {
-	if body != nil || record == nil {
-		return body
-	}
-	b := make([]byte, 0, len(FormatMagic)+2*binary.MaxVarintLen32+len(record))
-	b = binary.AppendUvarint(appendHeader(b, 1), uint64(len(record)))
-	return append(b, record...)
 }
 
 // JoinBundles returns the v4 databases dbs as one database holding all of
@@ -88,18 +67,18 @@ func JoinBundles(dbs [][]byte) ([]byte, error) {
 	}
 	n, size := 0, 0
 	for i, db := range dbs {
-		r := &reader{b: db, off: len(FormatMagic)}
+		r := wire.NewReader(db, len(FormatMagic), ErrCorrupt)
 		if !bytes.HasPrefix(db, []byte(FormatMagic)) {
-			r.fail("not a v4 database")
-		} else if c := r.count("profiles", minRecordBytes); r.err == nil && c == 0 {
-			r.fail("no profiles")
+			r.Fail("not a v4 database")
+		} else if c := r.Count("profiles", minRecordBytes); r.Err() == nil && c == 0 {
+			r.Fail("no profiles")
 		} else {
 			n += c
 		}
-		if r.err != nil {
-			return nil, fmt.Errorf("profdb: join input %d: %w", i, r.err)
+		if r.Err() != nil {
+			return nil, fmt.Errorf("profdb: join input %d: %w", i, r.Err())
 		}
-		size += r.remaining()
+		size += r.Remaining()
 	}
 	if len(dbs) == 1 {
 		return dbs[0], nil
@@ -174,14 +153,39 @@ func checkLimit(data []byte, maxBytes int64) error {
 	return nil
 }
 
-// DecodeBundle decodes every profile of a database already in memory,
-// dispatching on its magic: v4, or the legacy gob v2 encoding. Failures
-// match ErrCorrupt. The returned entries alias data (see Entry.Encoded).
+// DecodeBundle decodes every profile of a database already in memory: v4,
+// or the legacy gob v2 encoding upgraded at the door (see upgrade). It
+// accepts exactly what PlanBundle accepts; failures match ErrCorrupt.
 func DecodeBundle(data []byte) ([]Entry, error) {
-	if bytes.HasPrefix(data, []byte(FormatMagic)) {
-		return decodeV4(data)
+	data, err := upgrade(data)
+	if err != nil {
+		return nil, err
 	}
-	return decodeLegacy(data)
+	var out []Entry
+	var rr recordReader
+	err = eachRecord(data, func(rec []byte) error {
+		p := &profiler.Profile{Tree: cct.New()}
+		name, err := rr.record(rec, p, true, &treeBuilder{tree: p.Tree, rr: &rr})
+		out = append(out, Entry{Name: name, Profile: p})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// upgrade returns data as a v4 database: itself, or a legacy gob v2
+// database decoded and encoded again, so that one parser reads both.
+func upgrade(data []byte) ([]byte, error) {
+	if bytes.HasPrefix(data, []byte(FormatMagic)) {
+		return data, nil
+	}
+	entries, err := decodeLegacy(data)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeBundle(entries)
 }
 
 // Decode returns the first profile of a database already in memory.

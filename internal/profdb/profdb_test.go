@@ -247,9 +247,6 @@ func TestLoadLegacyV2Fixture(t *testing.T) {
 		if !reflect.DeepEqual(e.Profile.Fused, want.Fused) || e.Profile.FootprintBytes != want.FootprintBytes {
 			t.Fatalf("entry %d: fused/footprint lost: %+v", i, e.Profile)
 		}
-		if e.Encoded() != nil {
-			t.Fatalf("entry %d: a legacy entry has no v4 bytes to hand on", i)
-		}
 	}
 	if entries[0].Profile.Meta != want.Meta || entries[1].Profile.Meta.Workload != "dlrm" {
 		t.Fatalf("v2 meta = %+v / %+v", entries[0].Profile.Meta, entries[1].Profile.Meta)

@@ -2,7 +2,8 @@
 // that stores or ships a whole profile — .dcp files, /ingest bodies, WAL
 // records, snapshot window bundles, full stream frames, forwards and
 // partials between nodes — is this one encoding, written and read by plain
-// bounds-checked code with no reflection.
+// bounds-checked code with no reflection, over the primitives of package
+// wire.
 //
 //	database := magic uvarint(nProfiles) { uvarint(len(record)) record }
 //	record   := str(name)
@@ -17,6 +18,7 @@
 //	slot     := 0x00 | 0x01 float(sum) float(min) float(max) varint(count) float(mean) float(m2)
 //	str      := uvarint(len) bytes
 //	float    := uvarint(byte-reversed IEEE-754 bits)
+//	uvarint  := minimal base-128 varint; varint := zigzag uvarint
 //
 // A record is self-contained: its frame strings live in its own string
 // table (name, file and lib are table indices, in first-use order), so one
@@ -24,16 +26,13 @@
 // header without re-encoding. Nodes are in DFS pre-order; node 0 is the
 // root (parent+1 == 0), every other node names an earlier node. Fused
 // origins are written in sorted key order, which makes the encoding a pure
-// function of the profile. Floats reverse their bytes before the varint, as
-// gob does, so the integer-valued sums profiles are full of take two or
-// three bytes instead of nine.
+// function of the profile.
 package profdb
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -42,6 +41,7 @@ import (
 	"deepcontext/internal/framework"
 	"deepcontext/internal/profiler"
 	"deepcontext/internal/pyruntime"
+	"deepcontext/internal/wire"
 )
 
 // minNodeBytes is the smallest encoded node: parent, kind, three string
@@ -65,15 +65,6 @@ type encoder struct {
 	table []string
 }
 
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(f)))
-}
-
 func appendMetrics(b []byte, ms []cct.Metric) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ms)))
 	for i := range ms {
@@ -83,12 +74,12 @@ func appendMetrics(b []byte, ms []cct.Metric) []byte {
 			continue
 		}
 		b = append(b, 1)
-		b = appendFloat(b, m.Sum)
-		b = appendFloat(b, m.Min)
-		b = appendFloat(b, m.Max)
+		b = wire.AppendFloat(b, m.Sum)
+		b = wire.AppendFloat(b, m.Min)
+		b = wire.AppendFloat(b, m.Max)
 		b = binary.AppendVarint(b, m.Count)
-		b = appendFloat(b, m.Mean)
-		b = appendFloat(b, m.M2)
+		b = wire.AppendFloat(b, m.Mean)
+		b = wire.AppendFloat(b, m.M2)
 	}
 	return b
 }
@@ -125,12 +116,12 @@ func (e *encoder) node(n *cct.Node, parent uint64) {
 // record encodes one profile into e.rec.
 func (e *encoder) record(name string, p *profiler.Profile) {
 	b := e.rec[:0]
-	b = appendStr(b, name)
-	b = appendStr(b, p.Meta.Workload)
-	b = appendStr(b, p.Meta.Framework)
-	b = appendStr(b, p.Meta.Vendor)
-	b = appendStr(b, p.Meta.Device)
-	b = appendStr(b, p.Meta.Substrate)
+	b = wire.AppendStr(b, name)
+	b = wire.AppendStr(b, p.Meta.Workload)
+	b = wire.AppendStr(b, p.Meta.Framework)
+	b = wire.AppendStr(b, p.Meta.Vendor)
+	b = wire.AppendStr(b, p.Meta.Device)
+	b = wire.AppendStr(b, p.Meta.Substrate)
 	b = binary.AppendVarint(b, int64(p.Meta.Iterations))
 	for _, v := range statsFields(&p.Stats, &p.MonitorStats) {
 		b = binary.AppendVarint(b, *v)
@@ -140,7 +131,7 @@ func (e *encoder) record(name string, p *profiler.Profile) {
 	names := p.Tree.Schema.Names()
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, n := range names {
-		b = appendStr(b, n)
+		b = wire.AppendStr(b, n)
 	}
 
 	keys := make([]string, 0, len(p.Fused))
@@ -150,16 +141,16 @@ func (e *encoder) record(name string, p *profiler.Profile) {
 	sort.Strings(keys)
 	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		b = appendStr(b, k)
+		b = wire.AppendStr(b, k)
 		origins := p.Fused[k]
 		b = binary.AppendUvarint(b, uint64(len(origins)))
 		for i := range origins {
-			b = appendStr(b, origins[i].Name)
+			b = wire.AppendStr(b, origins[i].Name)
 			b = binary.AppendUvarint(b, uint64(len(origins[i].PyPath)))
 			for _, f := range origins[i].PyPath {
-				b = appendStr(b, f.File)
+				b = wire.AppendStr(b, f.File)
 				b = binary.AppendVarint(b, int64(f.Line))
-				b = appendStr(b, f.Func)
+				b = wire.AppendStr(b, f.Func)
 			}
 		}
 	}
@@ -170,7 +161,7 @@ func (e *encoder) record(name string, p *profiler.Profile) {
 
 	b = binary.AppendUvarint(b, uint64(len(e.table)))
 	for _, s := range e.table {
-		b = appendStr(b, s)
+		b = wire.AppendStr(b, s)
 	}
 	b = binary.AppendUvarint(b, e.count)
 	e.rec = append(b, e.nodes...)
@@ -220,115 +211,267 @@ func EncodeBundle(entries []Entry) ([]byte, error) {
 	return out, nil
 }
 
-// reader is a bounds-checked cursor over untrusted bytes with a sticky
-// error: after the first failure every read returns zero, so decoding code
-// checks r.err at record and node granularity instead of after each field.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
+// eachRecord walks a v4 database (data begins with FormatMagic), handing
+// each record's bytes to visit in order, and checks the framing around
+// them: at least one record, each inside the database, nothing after the
+// last.
+func eachRecord(data []byte, visit func(rec []byte) error) error {
+	r := wire.NewReader(data, len(FormatMagic), ErrCorrupt)
+	n := r.Count("profiles", minRecordBytes)
+	if r.Err() == nil && n == 0 {
+		r.Fail("bundle has no profiles")
 	}
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-// uvarintAt decodes the uvarint at b[off:] and returns it with the offset
-// just past it, or a negative offset when it is truncated or overflows 64
-// bits. The metric loop calls this directly: six numbers per slot over
-// thousands of slots is where decoding spends its time.
-func uvarintAt(b []byte, off int) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i := off; i < len(b); i++ {
-		c := b[i]
-		last := i-off == binary.MaxVarintLen64-1
-		if c < 0x80 {
-			if last && c > 1 {
-				return 0, -1
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if rec := r.Bytes(); r.Err() == nil {
+			if err := visit(rec); err != nil {
+				return fmt.Errorf("profdb: record %d: %w", i, err)
 			}
-			return v | uint64(c)<<shift, i + 1
 		}
-		if last {
-			return 0, -1
+	}
+	if err := r.End(); err != nil {
+		return fmt.Errorf("profdb: %w", err)
+	}
+	return nil
+}
+
+// nodeSink receives one record from the parser: its metric names in order,
+// then its nodes in DFS pre-order, each with the index of its parent in add
+// order (the root's is -1) and metric slots decoded into zeroed buffers
+// that Slots handed out. A *cct.Plan is one sink (PlanBundle, the served
+// path, which builds no tree); a treeBuilder is the other (DecodeBundle).
+type nodeSink interface {
+	AddName(name string) error
+	Slots(n int) []cct.Metric
+	Add(parent int, f cct.Frame, excl, incl []cct.Metric) error
+}
+
+// recordReader is the one v4 record parser: a single bounds-checked pass
+// validates a record and feeds it to a nodeSink. Every string ahead of the
+// nodes — name, metadata, metric names, the frame string table — comes
+// from one allocation: those bytes become one Go string, and the strings
+// are slices of it. Its scratch is reused from record to record.
+type recordReader struct {
+	wire.Reader
+	spans [][2]int
+	table []string
+	nodes int // node count of the record being read
+}
+
+// record reads one record, which must fill rec exactly, and returns its
+// name. Its metadata, both stats blocks and its footprint go to p, its
+// fused operators too when fused is set, and its metric names and nodes
+// to s.
+func (rr *recordReader) record(rec []byte, p *profiler.Profile, fused bool, s nodeSink) (string, error) {
+	rr.Reader = wire.NewReader(rec, 0, ErrCorrupt)
+	spans := rr.spans[:0]
+	for i := 0; i < 6; i++ { // name, workload, framework, vendor, device, substrate
+		spans = append(spans, rr.span())
+	}
+	iterations := rr.Varint()
+	for _, v := range statsFields(&p.Stats, &p.MonitorStats) {
+		*v = rr.Varint()
+	}
+	p.FootprintBytes = rr.Varint()
+	names := rr.Count("metric names", 1)
+	spans = slices.Grow(spans, names)
+	for i := 0; i < names; i++ {
+		spans = append(spans, rr.span())
+	}
+	p.Fused = rr.fused(fused)
+	strs := rr.Count("strings", 1)
+	spans = slices.Grow(spans, strs)
+	for i := 0; i < strs; i++ {
+		spans = append(spans, rr.span())
+	}
+	rr.spans = spans
+	if rr.Err() != nil {
+		return "", rr.Err()
+	}
+
+	head := string(rec[:rr.Offset()])
+	str := func(i int) string { return head[spans[i][0]:spans[i][1]] }
+	p.Meta = profiler.Meta{Workload: str(1), Framework: str(2), Vendor: str(3), Device: str(4), Substrate: str(5), Iterations: int(iterations)}
+	for i := 0; i < names; i++ {
+		if err := s.AddName(str(6 + i)); err != nil {
+			rr.Fail("%v", err)
+			return "", rr.Err()
 		}
-		v |= uint64(c&0x7f) << shift
-		shift += 7
 	}
-	return 0, -1
+	table := slices.Grow(rr.table[:0], strs)
+	for i := 0; i < strs; i++ {
+		table = append(table, str(6+names+i))
+	}
+	rr.table = table
+
+	rr.nodes = rr.Count("nodes", minNodeBytes)
+	if rr.nodes == 0 {
+		rr.Fail("record has no root node")
+	}
+	for i := 0; i < rr.nodes; i++ {
+		parent := rr.Uvarint()
+		f := cct.Frame{Kind: cct.FrameKind(rr.Byte())}
+		f.Name, f.File, f.Line, f.Lib, f.PC = rr.ref(), rr.ref(), int(rr.Varint()), rr.ref(), rr.Uvarint()
+		excl := rr.slots(s, names)
+		incl := rr.slots(s, names)
+		if rr.checkNode(i, parent, f.Kind); rr.Err() != nil {
+			break
+		}
+		if err := s.Add(int(parent)-1, f, excl, incl); err != nil {
+			rr.Fail("%v", err)
+			break
+		}
+	}
+	if err := rr.End(); err != nil {
+		return "", err
+	}
+	return str(0), nil
 }
 
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, next := uvarintAt(r.b, r.off)
-	if next < 0 {
-		r.fail("truncated or overlong varint at byte %d", r.off)
-		return 0
-	}
-	r.off = next
-	return v
+// span reads one str and returns where its bytes lie in the record.
+func (rr *recordReader) span() [2]int {
+	n := rr.Uvarint()
+	start := rr.Offset()
+	rr.Take(n)
+	return [2]int{start, rr.Offset()}
 }
 
-func unzigzag(u uint64) int64 {
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
+// ref reads a frame string as its index in the record's string table.
+func (rr *recordReader) ref() string {
+	i := rr.Uvarint()
+	if i >= uint64(len(rr.table)) {
+		rr.Fail("string reference %d outside a %d-entry table", i, len(rr.table))
+		return ""
 	}
-	return v
+	return rr.table[i]
 }
 
-func (r *reader) varint() int64 { return unzigzag(r.uvarint()) }
-
-func floatOf(u uint64) float64 { return math.Float64frombits(bits.ReverseBytes64(u)) }
-
-func (r *reader) byte() byte {
-	if r.err != nil {
-		return 0
+// fused reads the fused-operator section, building its map only when keep
+// is set: a plan has no use for it.
+func (rr *recordReader) fused(keep bool) map[string][]framework.FusedOrigin {
+	str := func() string {
+		if b := rr.Bytes(); keep {
+			return string(b)
+		}
+		return ""
 	}
-	if r.off >= len(r.b) {
-		r.fail("truncated at byte %d", r.off)
-		return 0
+	var out map[string][]framework.FusedOrigin
+	for i, n := 0, rr.Count("fused operators", 2); i < n && rr.Err() == nil; i++ {
+		key := str()
+		var origins []framework.FusedOrigin
+		for j, m := 0, rr.Count("fused origins", 2); j < m; j++ {
+			o := framework.FusedOrigin{Name: str()}
+			for k, l := 0, rr.Count("python frames", 3); k < l; k++ {
+				f := pyruntime.Frame{File: str(), Line: int(rr.Varint()), Func: str()}
+				if keep {
+					o.PyPath = append(o.PyPath, f)
+				}
+			}
+			if keep {
+				origins = append(origins, o)
+			}
+		}
+		if keep {
+			if out == nil {
+				out = make(map[string][]framework.FusedOrigin, n)
+			}
+			out[key] = origins
+		}
 	}
-	v := r.b[r.off]
-	r.off++
-	return v
+	return out
 }
 
-// take returns the next n bytes without copying.
-func (r *reader) take(n uint64) []byte {
-	if r.err != nil {
+// slots reads a node's metric slot count — a slot beyond the record's
+// metric names would measure no metric, so names bounds it — and decodes
+// that many slots into a buffer from s. Six numbers per slot over thousands
+// of slots is where parsing spends its time, so the loop reads the bytes
+// directly.
+func (rr *recordReader) slots(s nodeSink, names int) []cct.Metric {
+	n := rr.Count("metric slots", 1)
+	if n > names {
+		rr.Fail("%d metric slots for %d metric names before byte %d", n, names, rr.Offset())
 		return nil
 	}
-	if n > uint64(r.remaining()) {
-		r.fail("length %d at byte %d exceeds the %d bytes remaining", n, r.off, r.remaining())
-		return nil
+	ms := s.Slots(n)
+	b, off := rr.Rest(), 0
+	for i := range ms {
+		if off >= len(b) {
+			rr.Fail("truncated metric slot at byte %d", rr.Offset()+off)
+			return nil
+		}
+		marker := b[off]
+		off++
+		if marker == 0 {
+			continue
+		}
+		var v [6]uint64
+		if marker == 1 {
+			for k := range v {
+				if v[k], off = wire.UvarintAt(b, off); off < 0 {
+					break
+				}
+			}
+		}
+		if marker != 1 || off < 0 {
+			rr.Fail("bad metric slot %d after byte %d", i, rr.Offset())
+			return nil
+		}
+		ms[i] = cct.Metric{Sum: wire.Float(v[0]), Min: wire.Float(v[1]), Max: wire.Float(v[2]), Count: wire.Unzigzag(v[3]), Mean: wire.Float(v[4]), M2: wire.Float(v[5])}
 	}
-	s := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return s
+	rr.Take(uint64(off))
+	return ms
 }
 
-func (r *reader) str() string { return string(r.take(r.uvarint())) }
+// checkNode holds node i to the record's structure: node 0, and only node
+// 0, is a root; every other node names an earlier node as its parent
+// (parent is that index plus one) and has a valid kind.
+func (rr *recordReader) checkNode(i int, parent uint64, kind cct.FrameKind) {
+	switch {
+	case i == 0 && (parent != 0 || kind != cct.KindRoot):
+		rr.Fail("node 0 is not a root")
+	case i == 0:
+	case parent == 0:
+		rr.Fail("node %d is a second root", i)
+	case parent > uint64(i):
+		rr.Fail("node %d names parent %d, which does not precede it", i, parent-1)
+	case !kind.Valid():
+		rr.Fail("node %d has invalid frame kind %d", i, kind)
+	}
+}
 
-// count reads an element count and checks it against the bytes remaining,
-// given that each element occupies at least minBytes — the guard that keeps
-// a hostile count from sizing an allocation.
-func (r *reader) count(what string, minBytes int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
+// treeBuilder is the sink that builds a record's tree, for DecodeBundle.
+type treeBuilder struct {
+	tree  *cct.Tree
+	rr    *recordReader
+	nodes []*cct.Node // by add index
+	slab  metricSlab
+}
+
+func (b *treeBuilder) AddName(name string) error {
+	if _, dup := b.tree.Schema.Lookup(name); dup {
+		return fmt.Errorf("metric name %q appears twice", name)
 	}
-	if n > uint64(r.remaining()/minBytes) {
-		r.fail("%d %s at byte %d cannot fit in the %d bytes remaining", n, what, r.off, r.remaining())
-		return 0
+	b.tree.Schema.ID(name)
+	return nil
+}
+
+func (b *treeBuilder) Slots(n int) []cct.Metric { return b.slab.take(n, b.rr.Remaining()) }
+
+func (b *treeBuilder) Add(parent int, f cct.Frame, excl, incl []cct.Metric) error {
+	n := b.tree.Root
+	if b.nodes == nil {
+		b.nodes = make([]*cct.Node, 0, b.rr.nodes)
+	} else {
+		before := b.tree.NodeCount()
+		n = b.tree.InsertUnder(b.nodes[parent], []cct.Frame{f})
+		if b.tree.NodeCount() == before {
+			// Merging the two would let the second's slots overwrite the
+			// first's; the encoder never writes such siblings.
+			return fmt.Errorf("node %d unifies with an earlier sibling", len(b.nodes))
+		}
 	}
-	return int(n)
+	n.Excl, n.Incl = excl, incl
+	b.nodes = append(b.nodes, n)
+	return nil
 }
 
 // metricSlab hands out metric arrays carved from shared blocks, so a
@@ -354,196 +497,4 @@ func (s *metricSlab) take(n, remaining int) []cct.Metric {
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
-}
-
-// slotCount reads a node's metric slot count. A slot beyond the record's
-// metric names would measure no metric, so names bounds it.
-func (r *reader) slotCount(names int) int {
-	n := r.count("metric slots", 1)
-	if n > names {
-		r.fail("%d metric slots for %d metric names before byte %d", n, names, r.off)
-		return 0
-	}
-	return n
-}
-
-// slots decodes len(ms) metric slots into ms, which the caller zeroed.
-func (r *reader) slots(ms []cct.Metric) {
-	if r.err != nil {
-		return
-	}
-	b, off := r.b, r.off
-	for i := range ms {
-		if off >= len(b) {
-			r.fail("truncated metric slot at byte %d", off)
-			return
-		}
-		marker := b[off]
-		off++
-		if marker == 0 {
-			continue
-		}
-		var v [6]uint64
-		if marker == 1 {
-			for k := range v {
-				if v[k], off = uvarintAt(b, off); off < 0 {
-					break
-				}
-			}
-		}
-		if marker != 1 || off < 0 {
-			r.fail("bad metric slot %d before byte %d", i, r.off)
-			return
-		}
-		ms[i] = cct.Metric{Sum: floatOf(v[0]), Min: floatOf(v[1]), Max: floatOf(v[2]), Count: unzigzag(v[3]), Mean: floatOf(v[4]), M2: floatOf(v[5])}
-	}
-	r.off = off
-}
-
-func (r *reader) metrics(slab *metricSlab, names int) []cct.Metric {
-	ms := slab.take(r.slotCount(names), r.remaining())
-	r.slots(ms)
-	return ms
-}
-
-// checkNode holds node i to the record's structure: node 0, and only node
-// 0, is a root; every other node names an earlier node as its parent
-// (parent is that index plus one) and has a valid kind.
-func (r *reader) checkNode(i int, parent uint64, kind cct.FrameKind) {
-	switch {
-	case i == 0 && (parent != 0 || kind != cct.KindRoot):
-		r.fail("node 0 is not a root")
-	case i == 0:
-	case parent == 0:
-		r.fail("node %d is a second root", i)
-	case parent > uint64(i):
-		r.fail("node %d names parent %d, which does not precede it", i, parent-1)
-	case !kind.Valid():
-		r.fail("node %d has invalid frame kind %d", i, kind)
-	}
-}
-
-// decodeRecord decodes one record, which must fill rec exactly.
-func decodeRecord(rec []byte) (string, *profiler.Profile, error) {
-	r := &reader{b: rec}
-	name := r.str()
-	p := &profiler.Profile{}
-	p.Meta = profiler.Meta{Workload: r.str(), Framework: r.str(), Vendor: r.str(), Device: r.str(), Substrate: r.str(), Iterations: int(r.varint())}
-	for _, v := range statsFields(&p.Stats, &p.MonitorStats) {
-		*v = r.varint()
-	}
-	p.FootprintBytes = r.varint()
-
-	tree := cct.New()
-	names := r.count("metric names", 1)
-	for i := 0; i < names; i++ {
-		name := r.str()
-		if _, dup := tree.Schema.Lookup(name); dup && r.err == nil {
-			r.fail("metric name %q appears twice", name)
-		}
-		tree.Schema.ID(name)
-	}
-
-	if n := r.count("fused operators", 2); n > 0 {
-		p.Fused = make(map[string][]framework.FusedOrigin, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			key := r.str()
-			var origins []framework.FusedOrigin
-			if m := r.count("fused origins", 2); m > 0 {
-				origins = make([]framework.FusedOrigin, m)
-			}
-			for j := range origins {
-				origins[j].Name = r.str()
-				if m := r.count("python frames", 3); m > 0 {
-					origins[j].PyPath = make([]pyruntime.Frame, m)
-					for k := range origins[j].PyPath {
-						origins[j].PyPath[k] = pyruntime.Frame{File: r.str(), Line: int(r.varint()), Func: r.str()}
-					}
-				}
-			}
-			p.Fused[key] = origins
-		}
-	}
-
-	table := make([]string, r.count("strings", 1))
-	for i := range table {
-		table[i] = r.str()
-	}
-	ref := func() string {
-		i := r.uvarint()
-		if i >= uint64(len(table)) {
-			r.fail("string reference %d outside a %d-entry table", i, len(table))
-			return ""
-		}
-		return table[i]
-	}
-
-	nodes := make([]*cct.Node, r.count("nodes", minNodeBytes))
-	if len(nodes) == 0 {
-		r.fail("record has no root node")
-	}
-	var slab metricSlab
-	for i := range nodes {
-		parent := r.uvarint()
-		f := cct.Frame{Kind: cct.FrameKind(r.byte())}
-		f.Name, f.File, f.Line, f.Lib, f.PC = ref(), ref(), int(r.varint()), ref(), r.uvarint()
-		excl := r.metrics(&slab, names)
-		incl := r.metrics(&slab, names)
-		if r.checkNode(i, parent, f.Kind); r.err != nil {
-			break
-		}
-		if i == 0 {
-			nodes[0] = tree.Root
-		} else {
-			before := tree.NodeCount()
-			nodes[i] = tree.InsertUnder(nodes[parent-1], []cct.Frame{f})
-			if tree.NodeCount() == before {
-				// Merging the two would let the second's slots overwrite
-				// the first's; the encoder never writes such siblings.
-				r.fail("node %d unifies with an earlier sibling", i)
-				break
-			}
-		}
-		nodes[i].Excl, nodes[i].Incl = excl, incl
-	}
-	if r.err == nil && r.remaining() != 0 {
-		r.fail("%d trailing bytes in record", r.remaining())
-	}
-	if r.err != nil {
-		return "", nil, r.err
-	}
-	p.Tree = tree
-	return name, p, nil
-}
-
-// decodeV4 decodes a v4 database (data begins with FormatMagic). Each entry
-// keeps the record bytes it was decoded from; see Entry.Encoded.
-func decodeV4(data []byte) ([]Entry, error) {
-	r := &reader{b: data, off: len(FormatMagic)}
-	n := r.count("profiles", minRecordBytes)
-	if r.err == nil && n == 0 {
-		r.fail("bundle has no profiles")
-	}
-	out := make([]Entry, 0, n)
-	for i := 0; i < n; i++ {
-		rec := r.take(r.uvarint())
-		if r.err != nil {
-			break
-		}
-		name, p, err := decodeRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("profdb: record %d: %w", i, err)
-		}
-		out = append(out, Entry{Name: name, Profile: p, record: rec})
-	}
-	if r.err == nil && r.remaining() != 0 {
-		r.fail("%d trailing bytes after the last record", r.remaining())
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("profdb: %w", r.err)
-	}
-	if n == 1 {
-		out[0].body = data
-	}
-	return out, nil
 }

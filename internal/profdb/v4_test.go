@@ -46,9 +46,9 @@ func TestSaveIsDeterministic(t *testing.T) {
 	}
 }
 
-// Entry.Encoded hands on exactly the bytes that were validated: the body
-// itself for a single profile, header + the entry's own record for a
-// bundle entry — either way a database that decodes to the same profile.
+// Planned.Encoded hands on exactly the bytes that were validated: the
+// body itself for a single profile, header + the profile's own record for
+// a bundle entry — either way a database that decodes to the same profile.
 func TestEntryEncodedIsTheReceivedBytes(t *testing.T) {
 	a, b := sampleProfile(), sampleProfile()
 	b.Meta.Workload = "dlrm"
@@ -56,34 +56,34 @@ func TestEntryEncodedIsTheReceivedBytes(t *testing.T) {
 	b.Tree.AddMetric(b.Tree.InsertPath([]cct.Frame{cct.OperatorFrame("aten::extra")}), gid, 9)
 
 	single := saveBytes(t, Entry{Profile: a})
-	entries, err := DecodeBundle(single)
+	ps, err := PlanBundle(single)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc := entries[0].Encoded(); &enc[0] != &single[0] || len(enc) != len(single) {
+	if enc := ps.Records[0].Encoded(); &enc[0] != &single[0] || len(enc) != len(single) {
 		t.Fatal("a single-profile body must be handed on as is, not copied or re-encoded")
 	}
+	ps.Release()
 
 	bundle := saveBytes(t, Entry{Name: "first", Profile: a}, Entry{Name: "second", Profile: b})
-	entries, err = DecodeBundle(bundle)
+	ps, err = PlanBundle(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ps.Release()
 	for i, want := range []*profiler.Profile{a, b} {
-		enc := entries[i].Encoded()
-		if !bytes.Contains(bundle, enc[len(enc)-len(entries[i].record):]) {
-			t.Fatalf("entry %d: the record is not the received bytes", i)
+		rec := &ps.Records[i]
+		enc := rec.Encoded()
+		if !bytes.Contains(bundle, enc[len(enc)-len(rec.record):]) {
+			t.Fatalf("record %d: the record is not the received bytes", i)
 		}
 		back, err := DecodeBundle(enc)
 		if err != nil || len(back) != 1 {
-			t.Fatalf("entry %d: standalone form: %v, %d entries", i, err, len(back))
+			t.Fatalf("record %d: standalone form: %v, %d entries", i, err, len(back))
 		}
-		if back[0].Name != entries[i].Name || Checksum(back[0].Profile) != Checksum(want) {
-			t.Fatalf("entry %d: standalone form decodes to a different profile", i)
+		if back[0].Name != rec.Name || Checksum(back[0].Profile) != Checksum(want) {
+			t.Fatalf("record %d: standalone form decodes to a different profile", i)
 		}
-	}
-	if (Entry{Profile: a}).Encoded() != nil {
-		t.Fatal("a hand-built entry has no received bytes")
 	}
 }
 
@@ -175,6 +175,7 @@ func TestV4StructuralValidation(t *testing.T) {
 		"slot count":            rawDatabase(rawRecord(append(rawNode(0, cct.KindRoot, 0)[:7], huge...))),
 		"string count":          rawDatabase(append(append(make([]byte, 22), 0, 0), huge...)),
 		"overlong varint":       rawDatabase(bytes.Repeat([]byte{0xff}, 40)),
+		"non-minimal varint":    nonMinimalVarint(),
 		"magic only":            []byte(FormatMagic),
 	} {
 		if _, err := DecodeBundle(data); !errors.Is(err, ErrCorrupt) {
@@ -213,6 +214,15 @@ func TestV4TruncationsAndBitFlips(t *testing.T) {
 	}
 }
 
+// nonMinimalVarint is a valid single-node database but for its record's
+// iteration count, spelled 0x80 0x00: zero in two bytes, which the encoder
+// never writes.
+func nonMinimalVarint() []byte {
+	rec := rawRecord(rawNode(0, cct.KindRoot, 0, 0))
+	rec = append(append(append([]byte(nil), rec[:6]...), 0x80, 0x00), rec[7:]...)
+	return rawDatabase(rec)
+}
+
 func fuzzSeedsV4(tb testing.TB) [][]byte {
 	single := saveBytes(tb, Entry{Profile: sampleProfile()})
 	flipped := append([]byte(nil), single...)
@@ -234,6 +244,7 @@ func fuzzSeedsV4(tb testing.TB) [][]byte {
 		rawDatabase(rawRecord(root, rawNode(1, 200, 1))),                                               // kind out of range
 		append(rawDatabase(rawRecord(root, rawNode(1, cct.KindOperator, 1))), 0xde, 0xad),              // trailing bytes
 		rawDatabase(rawRecord(root, rawNode(1, cct.KindOperator, 1), rawNode(1, cct.KindOperator, 1))), // duplicate siblings unify
+		nonMinimalVarint(),
 	}
 }
 
@@ -294,11 +305,6 @@ func FuzzLoadV4(f *testing.F) {
 			}
 			if err := equivalentBits(entries[i].Profile.Tree, again[i].Profile.Tree); err != nil {
 				t.Fatalf("entry %d: re-encoded tree differs: %v", i, err)
-			}
-			if got := entries[i].Encoded(); got == nil {
-				t.Fatalf("entry %d: accepted v4 entry carries no bytes", i)
-			} else if back, err := Decode(got); err != nil || equivalentBits(entries[i].Profile.Tree, back.Tree) != nil {
-				t.Fatalf("entry %d: its received bytes do not decode back to it (%v)", i, err)
 			}
 		}
 	})

@@ -405,17 +405,14 @@ func CommittedShards(dir string) (int, bool) {
 // merge order and a replay reconstructs the exact tree. A WAL append
 // failure fails the ingest — an acknowledged profile must be durable.
 //
-// A caller that decoded p from profdb bytes passes them as encoded (see
-// profdb.Entry.Encoded): they become the WAL payload as they are, so the
-// log holds exactly what was validated and the profile is not encoded a
-// second time. Without them the store encodes p itself. A caller that
-// still holds the bytes needs no tree at all: see IngestPlan.
-func (s *Store) Ingest(p *profiler.Profile, encoded ...[]byte) (time.Time, error) {
+// A durable store encodes p for its WAL; a caller that holds the
+// profile's bytes skips both that encoding and the tree: see IngestPlan.
+func (s *Store) Ingest(p *profiler.Profile) (time.Time, error) {
 	t0 := time.Now()
 	if p == nil || p.Tree == nil {
 		return time.Time{}, fmt.Errorf("profstore: nil profile")
 	}
-	payload, err := s.payloadFor(p, encoded)
+	payload, err := s.payloadFor(p)
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -474,15 +471,11 @@ func (s *Store) checkPayload(payload []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// payloadFor returns p's WAL payload for a durable store: encoded[0] when
-// the caller has it, otherwise p encoded now. A memory-only store needs
-// none.
-func (s *Store) payloadFor(p *profiler.Profile, encoded [][]byte) ([]byte, error) {
+// payloadFor returns p's WAL payload for a durable store, p encoded now. A
+// memory-only store needs none.
+func (s *Store) payloadFor(p *profiler.Profile) ([]byte, error) {
 	if s.cfg.Dir == "" {
 		return nil, nil
-	}
-	if len(encoded) > 0 && encoded[0] != nil {
-		return encoded[0], nil
 	}
 	payload, err := persist.EncodeProfile(p)
 	if err != nil {
@@ -506,17 +499,16 @@ type PreparedProfile struct {
 // store) — what one full upload of this profile costs on the wire.
 func (pp *PreparedProfile) PayloadBytes() int { return len(pp.payload) }
 
-// Prepare runs the lock-free half of Ingest — the WAL payload, unless it
-// arrives ready, and the merge plan, both full-tree walks — and returns an
-// entry that owns its plan, for IngestPrepared. The streaming ingest
-// session prepares each materialized profile as it is decoded, then
-// applies whole batches under one shard lock acquisition. encoded is as
-// for Ingest.
-func (s *Store) Prepare(p *profiler.Profile, encoded ...[]byte) (PreparedProfile, error) {
+// Prepare runs the lock-free half of Ingest — the WAL payload and the
+// merge plan, both full-tree walks — and returns an entry that owns its
+// plan, for IngestPrepared. The streaming ingest session prepares each
+// materialized profile as it is decoded, then applies whole batches under
+// one shard lock acquisition.
+func (s *Store) Prepare(p *profiler.Profile) (PreparedProfile, error) {
 	if p == nil || p.Tree == nil {
 		return PreparedProfile{}, fmt.Errorf("profstore: nil profile")
 	}
-	payload, err := s.payloadFor(p, encoded)
+	payload, err := s.payloadFor(p)
 	if err != nil {
 		return PreparedProfile{}, err
 	}
