@@ -56,7 +56,7 @@ func (nd *tcNode) url() string { return "http://" + nd.addr }
 // starts serving ln — used both at boot and to restart a killed node.
 func (nd *tcNode) serve(t *testing.T, ln net.Listener) {
 	t.Helper()
-	_, h := newServerHandler(nd.store, nd.coord, profdb.DefaultMaxBytes, 0, false)
+	_, h := newServerHandler(nd.store, nd.coord, profdb.DefaultMaxBytes, 0)
 	nd.srv = newHTTPServer("", h)
 	srv := nd.srv
 	go srv.Serve(ln)
@@ -169,6 +169,10 @@ var equivalenceQueries = []struct {
 	{"/hotspots?metric=bogus_metric&top=3", http.StatusBadRequest},
 	{"/hotspots?from=2026-01-01T00:01:00Z&to=2026-01-01T00:03:00Z&top=5", http.StatusOK},
 	{"/hotspots?workload=nosuch", http.StatusNotFound},
+	// Row counts parse like /topk's k: no silent default, no "-1 = all".
+	{"/hotspots?top=abc", http.StatusBadRequest},
+	{"/hotspots?top=-1", http.StatusBadRequest},
+	{"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=-1", http.StatusBadRequest},
 	{"/flame?format=folded", http.StatusOK},
 	{"/analyze", http.StatusOK},
 	{"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=10", http.StatusOK},
@@ -561,7 +565,7 @@ func TestClusterMixedWireVersionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, h := newServerHandler(store, coord, profdb.DefaultMaxBytes, 0, false)
+	_, h := newServerHandler(store, coord, profdb.DefaultMaxBytes, 0)
 	router := httptest.NewServer(h)
 	defer router.Close()
 	owners := map[string]bool{}
@@ -636,7 +640,7 @@ func TestCanceledQueryReturns499(t *testing.T) {
 	clock := &testClock{t: testBase}
 	store := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now})
 	defer store.Close()
-	h := newHandler(store, profdb.DefaultMaxBytes, 0, false)
+	h := newHandler(store, profdb.DefaultMaxBytes, 0)
 	for r := 0; r < 2; r++ {
 		if _, err := store.Ingest(testProfile("UNet", float64(1+r))); err != nil {
 			t.Fatal(err)
@@ -682,7 +686,7 @@ func TestDrainWaitsForStreamBatch(t *testing.T) {
 	clock := &testClock{t: testBase}
 	cfg := profstore.Config{Window: time.Minute, Now: clock.Now, Dir: dir}
 	store := profstore.New(cfg)
-	app, h := newServerHandler(store, nil, profdb.DefaultMaxBytes, 0, false)
+	app, h := newServerHandler(store, nil, profdb.DefaultMaxBytes, 0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

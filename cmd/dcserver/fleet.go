@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"deepcontext/internal/profstore"
@@ -27,30 +26,13 @@ type topkQuery struct {
 // parseTopKQuery maps /topk query parameters to a store query. k bounds
 // the result rows (default 20, 0 = unbounded).
 func parseTopKQuery(q url.Values) (topkQuery, error) {
-	out := topkQuery{
-		filter: profstore.Labels{
-			Workload:  q.Get("workload"),
-			Vendor:    q.Get("vendor"),
-			Framework: q.Get("framework"),
-		},
-		metric: q.Get("metric"),
-		k:      20,
-	}
+	out := topkQuery{filter: queryLabels(q), metric: q.Get("metric")}
 	var err error
-	if out.from, err = parseTime(q.Get("from")); err != nil {
+	if out.from, out.to, err = queryRange(q); err != nil {
 		return out, err
 	}
-	if out.to, err = parseTime(q.Get("to")); err != nil {
-		return out, err
-	}
-	if s := q.Get("k"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return out, fmt.Errorf("bad k %q (want a non-negative integer)", s)
-		}
-		out.k = n
-	}
-	return out, nil
+	out.k, err = queryCount(q, "k", 20)
+	return out, err
 }
 
 // searchQuery is the parsed form of /search's parameters.
@@ -66,34 +48,16 @@ type searchQuery struct {
 // (the display label to look for, e.g. a kernel name) is required; limit
 // bounds the result rows (default 50, 0 = unbounded).
 func parseSearchQuery(q url.Values) (searchQuery, error) {
-	out := searchQuery{
-		filter: profstore.Labels{
-			Workload:  q.Get("workload"),
-			Vendor:    q.Get("vendor"),
-			Framework: q.Get("framework"),
-		},
-		frame:  q.Get("frame"),
-		metric: q.Get("metric"),
-		limit:  50,
-	}
+	out := searchQuery{filter: queryLabels(q), frame: q.Get("frame"), metric: q.Get("metric")}
 	if out.frame == "" {
 		return out, fmt.Errorf("search needs frame= (a frame label, e.g. a kernel name)")
 	}
 	var err error
-	if out.from, err = parseTime(q.Get("from")); err != nil {
+	if out.from, out.to, err = queryRange(q); err != nil {
 		return out, err
 	}
-	if out.to, err = parseTime(q.Get("to")); err != nil {
-		return out, err
-	}
-	if s := q.Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return out, fmt.Errorf("bad limit %q (want a non-negative integer)", s)
-		}
-		out.limit = n
-	}
-	return out, nil
+	out.limit, err = queryCount(q, "limit", 50)
+	return out, err
 }
 
 // GET /topk?metric=&k=&workload=&vendor=&framework=&from=&to= —

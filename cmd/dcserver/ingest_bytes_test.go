@@ -83,7 +83,7 @@ func TestIngestFailureStatusCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, h := newServerHandler(store, coord, profdb.DefaultMaxBytes, 0, false)
+	_, h := newServerHandler(store, coord, profdb.DefaultMaxBytes, 0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -333,7 +333,7 @@ func TestReceivedBytesSurviveRecovery(t *testing.T) {
 			cfg := profstore.Config{Window: time.Minute, Now: clock.Now, Shards: 2}
 			control := profstore.New(cfg)
 			defer control.Close()
-			cts := httptest.NewServer(newHandler(control, profdb.DefaultMaxBytes, 0, false))
+			cts := httptest.NewServer(newHandler(control, profdb.DefaultMaxBytes, 0))
 			defer cts.Close()
 
 			cfg.Dir = t.TempDir()
@@ -369,23 +369,81 @@ func TestReceivedBytesSurviveRecovery(t *testing.T) {
 	}
 }
 
+// streamEquivalenceSeries streams every equivalenceSeries series into
+// each of urls, one /stream session per server: a full frame per series,
+// then one delta per series after one kernel context grew. Every frame
+// must apply, the second round's as deltas. It returns the standalone v4
+// encoding of each profile the sessions materialized — what an /ingest
+// body of that profile would carry, and so what the owning node's WAL must
+// hold.
+func streamEquivalenceSeries(t *testing.T, urls ...string) [][]byte {
+	t.Helper()
+	hc := &http.Client{Timeout: 30 * time.Second}
+	var ps []*profiler.Profile
+	for _, sp := range equivalenceSeries {
+		p := streamTestProfile(sp.w, 8)
+		p.Meta.Vendor, p.Meta.Framework = sp.v, sp.f
+		ps = append(ps, p)
+	}
+	clients := make([]*streamClient, len(urls))
+	for i, url := range urls {
+		clients[i] = newStreamClient(hc, url, fmt.Sprintf("wal-%d", i))
+	}
+	var want [][]byte
+	for round := 0; round < 2; round++ {
+		for _, c := range clients {
+			deltas := c.deltaFrames
+			res, err := c.send(ps)
+			if err != nil || res.Reset || res.Acked != len(ps) {
+				t.Fatalf("round %d into %s: acked %d of %d, reset %v: %v", round, c.baseURL, res.Acked, len(ps), res.Reset, err)
+			}
+			if got := c.deltaFrames - deltas; got != int64(round*len(ps)) {
+				t.Fatalf("round %d into %s: %d delta frames, want %d", round, c.baseURL, got, round*len(ps))
+			}
+		}
+		// The shadow cursor holds what the server materialized; encode it
+		// before the next round's delta mutates it.
+		for i, p := range ps {
+			db, err := profdb.EncodeBundle([]profdb.Entry{{Profile: clients[0].cursors[profstore.LabelsOf(p.Meta).Key()].Base}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, db)
+			bumpOneKernel(p, i, float64(50+i))
+		}
+	}
+	return want
+}
+
 // The log holds what was validated, byte for byte: a single-profile body
-// as it arrived, a bundle entry as a fresh header in front of its record —
-// on the node that received it, or behind a forward on the node that owns
-// the series.
+// as it arrived, a bundle entry as a fresh header in front of its record,
+// and a /stream frame as the standalone database of the profile it
+// materialized — on the node that received it, or behind a forward on the
+// node that owns the series. A single node fed the same bodies and frames
+// answers /hotspots as the router does.
 func TestWALHoldsReceivedBytes(t *testing.T) {
 	for _, nodes := range []int{1, 3} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
 			clock := &testClock{t: testBase}
+			control := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now, Shards: 1})
+			defer control.Close()
+			cts := httptest.NewServer(newHandler(control, profdb.DefaultMaxBytes, 0))
+			defer cts.Close()
 			cfg := profstore.Config{Window: time.Minute, Now: clock.Now, Shards: 1, Dir: t.TempDir()}
 			cl := bootTestCluster(t, cfg, nodes)
+			ingest := func(what string, body []byte) {
+				t.Helper()
+				for _, url := range []string{cl[0].url(), cts.URL} {
+					if code, msg := postBytes(t, url+"/ingest", body); code != http.StatusAccepted {
+						t.Fatalf("%s into %s: status %d: %s", what, url, code, msg)
+					}
+				}
+			}
 
 			var want [][]byte
 			for _, sp := range equivalenceSeries {
 				body := dcpBytes(t, labeledProfile(sp.w, sp.v, sp.f, 3))
-				if code, msg := postBytes(t, cl[0].url()+"/ingest", body); code != http.StatusAccepted {
-					t.Fatalf("single: status %d: %s", code, msg)
-				}
+				ingest("single", body)
 				want = append(want, body)
 			}
 			var entries []profdb.Entry
@@ -396,9 +454,7 @@ func TestWALHoldsReceivedBytes(t *testing.T) {
 			if err := profdb.SaveBundle(&bundle, entries); err != nil {
 				t.Fatal(err)
 			}
-			if code, msg := postBytes(t, cl[0].url()+"/ingest", bundle.Bytes()); code != http.StatusAccepted {
-				t.Fatalf("bundle: status %d: %s", code, msg)
-			}
+			ingest("bundle", bundle.Bytes())
 			ps, err := profdb.PlanBundle(bundle.Bytes())
 			if err != nil {
 				t.Fatal(err)
@@ -407,6 +463,15 @@ func TestWALHoldsReceivedBytes(t *testing.T) {
 				want = append(want, ps.Records[i].Encoded())
 			}
 			ps.Release()
+			want = append(want, streamEquivalenceSeries(t, cl[0].url(), cts.URL)...)
+
+			hc := &http.Client{Timeout: 30 * time.Second}
+			const q = "/hotspots?top=0"
+			if gotCode, got := rawGet(t, hc, cl[0].url()+q); gotCode != http.StatusOK {
+				t.Fatalf("%s on the router: status %d: %s", q, gotCode, got)
+			} else if _, want := rawGet(t, hc, cts.URL+q); got != want {
+				t.Errorf("%s: the router diverged from a single node fed the same bodies and frames:\n got %s\nwant %s", q, got, want)
+			}
 
 			var log []byte
 			for _, nd := range cl {

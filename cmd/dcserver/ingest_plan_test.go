@@ -13,17 +13,17 @@ import (
 	"deepcontext/internal/profstore"
 )
 
-// Every served ingest path plans through pooled state — /ingest and WAL
-// replay from bytes, /stream from materialized trees. This drives them at
-// once, under the race detector in CI: full uploads and delta sessions
-// into one durable server, then a WAL replay of its directory racing more
-// uploads into a second server. The replayed store must answer exactly
-// as the live one did.
+// Every served ingest path plans through pooled state from bytes —
+// /ingest bodies, /stream's materialized profiles as encoded, and WAL
+// replay. This drives them at once, under the race detector in CI: full
+// uploads and delta sessions into one durable server, then a WAL replay
+// of its directory racing more uploads into a second server. The
+// replayed store must answer exactly as the live one did.
 func TestConcurrentIngestStreamReplay(t *testing.T) {
 	clock := &testClock{t: testBase}
 	dir := t.TempDir()
 	live := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now, Dir: dir, Shards: 2})
-	ts := httptest.NewServer(newHandler(live, profdb.DefaultMaxBytes, defaultSlowRequest, false))
+	ts := httptest.NewServer(newHandler(live, profdb.DefaultMaxBytes, defaultSlowRequest))
 
 	const uploaders, uploads, streamers, rounds = 4, 6, 2, 6
 	upload := func(url string, c, i int) error {
@@ -76,7 +76,7 @@ func TestConcurrentIngestStreamReplay(t *testing.T) {
 	// Replay the live directory while another server takes uploads: both
 	// draw plans from the same pools.
 	other := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now})
-	ots := httptest.NewServer(newHandler(other, profdb.DefaultMaxBytes, defaultSlowRequest, false))
+	ots := httptest.NewServer(newHandler(other, profdb.DefaultMaxBytes, defaultSlowRequest))
 	defer ots.Close()
 	replayed := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now, Dir: dir, Shards: 2})
 	defer replayed.Close()

@@ -16,7 +16,7 @@
 //
 //	POST /ingest                         .dcp body (single or bundle)
 //	POST /stream?session=<id>            profdb v3 delta-ingest session
-//	                                     (gob StreamBatch body; -no-delta disables)
+//	                                     (gob StreamBatch body)
 //	GET  /hotspots?metric=&top=&from=&to=&workload=&vendor=&framework=
 //	GET  /diff?before=&after=&metric=&top=     window-vs-window signed diff
 //	GET  /flame?format=html|folded&from=&to=   (or before=/after= for signed)
@@ -62,13 +62,12 @@
 //
 // Long-lived profiling agents should prefer POST /stream: after one full
 // upload per series, each round ships only the changed subtrees (profdb
-// v3 delta frames, batched so the store takes one shard-lock acquisition
-// per batch), cutting steady-state ingest bytes by an order of
-// magnitude. A desynced session (server restart, lost batch, checksum
-// mismatch) is NACKed and the client falls back to full uploads, so
-// /stream never loses data relative to /ingest — the WAL records the
-// materialized full profile either way. -no-delta is the kill switch:
-// it refuses /stream with 503 and clients fall back to /ingest.
+// v3 delta frames), cutting steady-state ingest bytes by an order of
+// magnitude. The server materializes each frame and lands the batch as
+// the /ingest body it amounts to, through the same apply, so the WAL
+// records the same bytes either way. A desynced session (server restart,
+// lost batch, checksum mismatch) is NACKed and the client falls back to
+// full uploads, so /stream never loses data relative to /ingest.
 //
 // Fleet-wide queries (/topk ranks frames across every matching series,
 // /search finds the series containing a frame) are served from per-window
@@ -142,9 +141,8 @@ func main() {
 		webhookURL      = flag.String("webhook-url", "", "POST newly confirmed /regressions findings to this URL")
 		webhookInterval = flag.Duration("webhook-interval", 30*time.Second, "webhook poll interval")
 
-		nodeID  = flag.String("node-id", "", "this node's cluster ID (enables cluster mode with -peers or a committed CLUSTER.json)")
-		peers   = flag.String("peers", "", "cluster membership as id=addr,id=addr,... including this node; a CLUSTER.json committed in -data-dir takes precedence")
-		noDelta = flag.Bool("no-delta", false, "refuse POST /stream delta sessions with 503 (kill switch; clients fall back to full /ingest uploads)")
+		nodeID = flag.String("node-id", "", "this node's cluster ID (enables cluster mode with -peers or a committed CLUSTER.json)")
+		peers  = flag.String("peers", "", "cluster membership as id=addr,id=addr,... including this node; a CLUSTER.json committed in -data-dir takes precedence")
 
 		slowRequest = flag.Duration("slow-request", defaultSlowRequest, "journal requests taking at least this long (0 disables)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -257,7 +255,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dcserver:", err)
 		os.Exit(1)
 	}
-	app, handler := newServerHandler(store, coord, *maxBody, *slowRequest, *noDelta)
+	app, handler := newServerHandler(store, coord, *maxBody, *slowRequest)
 	srv := newHTTPServer(*addr, handler)
 	fmt.Printf("dcserver: listening on %s (window %v, retention %d fine + %d coarse, %d shards, cache %d)\n",
 		ln.Addr(), store.Config().Window, store.Config().Retention, store.Config().CoarseRetention,

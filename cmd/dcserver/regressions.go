@@ -69,15 +69,7 @@ func flameURL(f trend.Finding) string {
 // down (improvements) or both; limit bounds the result to the newest N
 // findings (default 100, 0 = unbounded).
 func parseRegressionQuery(q url.Values) (profstore.RegressionQuery, error) {
-	out := profstore.RegressionQuery{
-		Filter: profstore.Labels{
-			Workload:  q.Get("workload"),
-			Vendor:    q.Get("vendor"),
-			Framework: q.Get("framework"),
-		},
-		Direction: 1,
-		Limit:     100,
-	}
+	out := profstore.RegressionQuery{Filter: queryLabels(q), Direction: 1}
 	switch dir := q.Get("dir"); dir {
 	case "", "up":
 		// regressions — the default view
@@ -88,21 +80,12 @@ func parseRegressionQuery(q url.Values) (profstore.RegressionQuery, error) {
 	default:
 		return out, fmt.Errorf("bad dir %q (want up, down or both)", dir)
 	}
-	if s := q.Get("since"); s != "" {
-		t, err := parseTime(s)
-		if err != nil {
-			return out, err
-		}
-		out.Since = t
+	var err error
+	if out.Since, err = parseTime(q.Get("since")); err != nil {
+		return out, err
 	}
-	if s := q.Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return out, fmt.Errorf("bad limit %q (want a non-negative integer)", s)
-		}
-		out.Limit = n
-	}
-	return out, nil
+	out.Limit, err = queryCount(q, "limit", 100)
+	return out, err
 }
 
 // GET /regressions?workload=&vendor=&framework=&since=&dir=up|down|both&limit=

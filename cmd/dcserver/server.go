@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -25,22 +26,21 @@ import (
 // newServerHandler wires the ingest/query API over one store and returns
 // the *server itself (for the shutdown write drain) beside the handler.
 // maxBody caps POST /ingest and /stream bodies in bytes; requests taking
-// slow or longer land in the event journal (0 disables); noDelta is the
-// kill switch that refuses /stream sessions (clients fall back to full
-// /ingest uploads). Every route is instrumented into the store's
-// telemetry registry, which /metrics and /debug/events expose.
+// slow or longer land in the event journal (0 disables). Every route is
+// instrumented into the store's telemetry registry, which /metrics and
+// /debug/events expose.
 //
 // The query endpoints answer from one backend chosen here, once: the
 // local store, or — when coord is non-nil — the scatter-gather
 // coordinator, which feeds the same folds and answers byte-identically.
 // Cluster mode also routes /ingest and /stream to each series' owning
 // node and registers the /cluster/* control surface.
-func newServerHandler(store *profstore.Store, coord *cluster.Coordinator, maxBody int64, slow time.Duration, noDelta bool) (*server, http.Handler) {
+func newServerHandler(store *profstore.Store, coord *cluster.Coordinator, maxBody int64, slow time.Duration) (*server, http.Handler) {
 	var queries queryBackend = localQueries{store}
 	if coord != nil {
 		queries = coord
 	}
-	s := &server{store: store, cluster: coord, queries: queries, maxBody: maxBody, noDelta: noDelta, started: time.Now()}
+	s := &server{store: store, cluster: coord, queries: queries, maxBody: maxBody, started: time.Now()}
 	s.streams = newStreamRegistry(store.Telemetry())
 	m := newServerMetrics(store.Telemetry(), slow)
 	mux := http.NewServeMux()
@@ -48,7 +48,7 @@ func newServerHandler(store *profstore.Store, coord *cluster.Coordinator, maxBod
 		mux.HandleFunc(route, m.wrap(route, h))
 	}
 	handle("/ingest", post(s.handleIngest))
-	handle("/stream", s.handleStream)
+	handle("/stream", post(s.handleStream))
 	handle("/hotspots", get(s.handleHotspots))
 	handle("/diff", get(s.handleDiff))
 	handle("/flame", get(s.handleFlame))
@@ -92,7 +92,6 @@ type server struct {
 	cluster *cluster.Coordinator
 	queries queryBackend
 	maxBody int64
-	noDelta bool
 	streams *streamRegistry
 	started time.Time
 
@@ -214,8 +213,7 @@ func writeQueryError(w http.ResponseWriter, err error) {
 
 // queryLabels builds the series filter from workload/vendor/framework
 // query parameters.
-func queryLabels(r *http.Request) profstore.Labels {
-	q := r.URL.Query()
+func queryLabels(q url.Values) profstore.Labels {
 	return profstore.Labels{
 		Workload:  q.Get("workload"),
 		Vendor:    q.Get("vendor"),
@@ -241,8 +239,7 @@ func parseTime(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("bad time %q (want RFC3339 or unix seconds)", s)
 }
 
-func queryRange(r *http.Request) (from, to time.Time, err error) {
-	q := r.URL.Query()
+func queryRange(q url.Values) (from, to time.Time, err error) {
 	if from, err = parseTime(q.Get("from")); err != nil {
 		return
 	}
@@ -250,13 +247,18 @@ func queryRange(r *http.Request) (from, to time.Time, err error) {
 	return
 }
 
-func queryInt(r *http.Request, name string, def int) int {
-	if s := r.URL.Query().Get(name); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			return n
-		}
+// queryCount reads a row-count parameter: def when it is absent, an error
+// for anything but a non-negative integer (0 means no bound).
+func queryCount(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		return def, nil
 	}
-	return def
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad %s %q (want a non-negative integer)", name, s)
+	}
+	return n, nil
 }
 
 // POST /ingest — body is a .dcp database (one profile or a bundle); every
@@ -270,11 +272,9 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // ingest serves an /ingest body. The body is validated whole and each
 // profile planned from its bytes in the same pass (profdb.PlanBundleLimit),
-// so no tree is built: cluster.IngestPlans folds each plan straight into
-// the window tree, and the bytes are the WAL record. With route set,
-// profiles another node owns are forwarded instead, after the local share
-// landed. Codes: 413 or 400 for a body that does not plan, 500 for a store
-// failure, 502 for a failed forward.
+// so no tree is built; apply lands the plans, forwarding the profiles
+// another node owns when route is set. Codes: 413 or 400 for a body that
+// does not plan, then apply's 500 or 502.
 func (s *server) ingest(w http.ResponseWriter, r *http.Request, route bool) {
 	if !s.beginWrite() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
@@ -291,7 +291,25 @@ func (s *server) ingest(w http.ResponseWriter, r *http.Request, route bool) {
 		return
 	}
 	defer planned.Release()
-	forwards := forwardSet{}
+	out, code, err := s.apply(r.Context(), planned, route)
+	if err != nil {
+		writeError(w, code, err)
+		return
+	}
+	writeJSONStatus(w, http.StatusAccepted, out)
+}
+
+// apply lands a planned database — an /ingest or /cluster/ingest body, or
+// one /stream batch — and is the one way a served profile reaches the
+// store: cluster.IngestPlans folds each record this node keeps straight
+// into its window tree, with the bytes it was planned from as its WAL
+// record. With route set, a record another node owns travels instead, as
+// those same bytes, in one v4 bundle per owning node, sent after the local
+// share landed. On failure apply returns the status to answer with: 500
+// for a store failure, 502 for a failed forward. Either way the records
+// ahead of the failure stay applied.
+func (s *server) apply(ctx context.Context, planned *profdb.Plans, route bool) (cluster.IngestSummary, int, error) {
+	forwards := map[string][][]byte{}
 	out, err := cluster.IngestPlans(s.store, planned, func(labels profstore.Labels, rec *profdb.Planned) bool {
 		if !route {
 			return false
@@ -300,28 +318,25 @@ func (s *server) ingest(w http.ResponseWriter, r *http.Request, route bool) {
 		if owner == s.cluster.Self() {
 			return false
 		}
-		forwards.to(owner).AddEncoded(rec.Encoded())
+		forwards[owner] = append(forwards[owner], rec.Encoded())
 		return true
 	})
 	if err != nil {
 		// The body planned, so what is left to fail is this node's
 		// durability (layout check, WAL append): not the client's fault.
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return out, http.StatusInternalServerError, err
 	}
 	for _, owner := range sortedKeys(forwards) {
-		fw := forwards[owner]
-		body, err := fw.Bytes()
+		dbs := forwards[owner]
+		body, err := profdb.JoinBundles(dbs)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
+			return out, http.StatusInternalServerError, err
 		}
-		sum, err := s.cluster.ForwardBytes(r.Context(), owner, body, fw.Len())
+		sum, err := s.cluster.ForwardBytes(ctx, owner, body, len(dbs))
 		if err != nil {
-			// The local share (and any earlier forward) already landed;
-			// 502 tells the client this bundle was only partially applied.
-			writeError(w, http.StatusBadGateway, err)
-			return
+			// Never retried: a re-delivered merge would double-count. 502
+			// tells the client the body was only partially applied.
+			return out, http.StatusBadGateway, err
 		}
 		out.Ingested += sum.Ingested
 		out.Series = append(out.Series, sum.Series...)
@@ -331,21 +346,7 @@ func (s *server) ingest(w http.ResponseWriter, r *http.Request, route bool) {
 			}
 		}
 	}
-	writeJSONStatus(w, http.StatusAccepted, out)
-}
-
-// forwardSet collects the profiles a request must forward, one batch per
-// owning node.
-type forwardSet map[string]*cluster.Forwarder
-
-// to returns owner's batch, starting it on first use.
-func (fs forwardSet) to(owner string) *cluster.Forwarder {
-	fw := fs[owner]
-	if fw == nil {
-		fw = new(cluster.Forwarder)
-		fs[owner] = fw
-	}
-	return fw
+	return out, 0, nil
 }
 
 // readBody reads a request body of at most maxBody bytes, in one
@@ -431,13 +432,19 @@ func (l localQueries) Regressions(_ context.Context, q profstore.RegressionQuery
 
 // GET /hotspots?metric=&top=&workload=&vendor=&framework=&from=&to=
 func (s *server) handleHotspots(w http.ResponseWriter, r *http.Request) {
-	from, to, err := queryRange(r)
+	q := r.URL.Query()
+	from, to, err := queryRange(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	metric := r.URL.Query().Get("metric")
-	rows, info, err := s.queries.Hotspots(r.Context(), from, to, queryLabels(r), metric, queryInt(r, "top", 20))
+	top, err := queryCount(q, "top", 20)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	metric := q.Get("metric")
+	rows, info, err := s.queries.Hotspots(r.Context(), from, to, queryLabels(q), metric, top)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -465,7 +472,12 @@ func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("diff needs before= and after= window times: %v", err))
 		return
 	}
-	res, err := s.queries.Diff(r.Context(), before, after, queryLabels(r), q.Get("metric"), queryInt(r, "top", 20))
+	top, err := queryCount(q, "top", 20)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	res, err := s.queries.Diff(r.Context(), before, after, queryLabels(q), q.Get("metric"), top)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -487,7 +499,7 @@ func (s *server) handleFlame(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("signed flame needs both before= and after="))
 			return
 		}
-		res, err := s.queries.Diff(r.Context(), before, after, queryLabels(r), metric, 0)
+		res, err := s.queries.Diff(r.Context(), before, after, queryLabels(q), metric, 0)
 		if err != nil {
 			writeQueryError(w, err)
 			return
@@ -496,12 +508,12 @@ func (s *server) handleFlame(w http.ResponseWriter, r *http.Request) {
 		p.Meta.Workload = "diff"
 		signed = true
 	} else {
-		from, to, err := queryRange(r)
+		from, to, err := queryRange(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		tree, info, err := s.queries.Aggregate(r.Context(), from, to, queryLabels(r))
+		tree, info, err := s.queries.Aggregate(r.Context(), from, to, queryLabels(q))
 		if err != nil {
 			writeQueryError(w, err)
 			return
@@ -538,12 +550,13 @@ func (s *server) handleFlame(w http.ResponseWriter, r *http.Request) {
 // GET /analyze?from=&to=&filters... — the automated analyzer over the
 // window aggregate, as JSON.
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	from, to, err := queryRange(r)
+	q := r.URL.Query()
+	from, to, err := queryRange(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tree, info, err := s.queries.Aggregate(r.Context(), from, to, queryLabels(r))
+	tree, info, err := s.queries.Aggregate(r.Context(), from, to, queryLabels(q))
 	if err != nil {
 		writeQueryError(w, err)
 		return

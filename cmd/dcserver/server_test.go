@@ -83,15 +83,15 @@ func dcpBytes(t *testing.T, p *profiler.Profile) []byte {
 
 // newHandler is the single-node handler the tests serve: no coordinator,
 // the server handle dropped.
-func newHandler(store *profstore.Store, maxBody int64, slow time.Duration, noDelta bool) http.Handler {
-	_, h := newServerHandler(store, nil, maxBody, slow, noDelta)
+func newHandler(store *profstore.Store, maxBody int64, slow time.Duration) http.Handler {
+	_, h := newServerHandler(store, nil, maxBody, slow)
 	return h
 }
 
 func newTestServer(t *testing.T, clock *testClock, maxBody int64) (*httptest.Server, *profstore.Store) {
 	t.Helper()
 	store := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now})
-	ts := httptest.NewServer(newHandler(store, maxBody, defaultSlowRequest, false))
+	ts := httptest.NewServer(newHandler(store, maxBody, defaultSlowRequest))
 	t.Cleanup(ts.Close)
 	return ts, store
 }
@@ -414,7 +414,7 @@ func TestRestartWithDataDirIsByteIdentical(t *testing.T) {
 			if _, err := store.Recover(); err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest, false))
+			ts := httptest.NewServer(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest))
 			postIngest(t, ts, dcpBytes(t, testProfile("UNet", 1))).Body.Close()
 			postIngest(t, ts, dcpBytes(t, testProfile("DLRM", 2))).Body.Close()
 			clock.Advance(time.Minute)
@@ -444,7 +444,7 @@ func TestRestartWithDataDirIsByteIdentical(t *testing.T) {
 			if rs.SnapshotLoaded != tc.graceful {
 				t.Fatalf("snapshot loaded = %v, want %v (%+v)", rs.SnapshotLoaded, tc.graceful, rs)
 			}
-			ts2 := httptest.NewServer(newHandler(revived, profdb.DefaultMaxBytes, defaultSlowRequest, false))
+			ts2 := httptest.NewServer(newHandler(revived, profdb.DefaultMaxBytes, defaultSlowRequest))
 			defer ts2.Close()
 			if got := getBytes(t, ts2, "/hotspots?top=10"); !bytes.Equal(got, wantHot) {
 				t.Fatalf("/hotspots changed across restart:\n got %s\nwant %s", got, wantHot)

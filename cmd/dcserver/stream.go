@@ -4,10 +4,11 @@
 // shared frame dictionary plus one apply cursor per series) persists on
 // the server across POSTs, so a client uploads the full profile once and
 // then ships only changed subtrees. Each POST body is a gob stream of
-// profdb.StreamBatch records; every batch is applied through the store's
-// batch path — one shard-lock acquisition per shard per batch — and the
-// store's WAL records the materialized full profile, so recovery
-// semantics are identical to /ingest.
+// profdb.StreamBatch records. Every frame a batch applies is captured as
+// the standalone v4 database of its materialized profile, and the batch
+// lands as the /ingest body those databases join into, through the same
+// apply as /ingest: the WAL records, forwards and recovery semantics are
+// /ingest's.
 //
 // Per-frame failures (stale base, corrupt delta) are NACKed in the JSON
 // acknowledgement and the client resyncs that series with a full frame;
@@ -20,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -42,8 +44,6 @@ const (
 	// maxSessionIDLen bounds the client-chosen session id.
 	maxSessionIDLen = 128
 )
-
-var errDeltaDisabled = errors.New("delta ingest disabled (-no-delta); POST full profiles to /ingest")
 
 // streamAck is the JSON response to one POST /stream: what was applied,
 // which frames were rejected, and the server's dictionary length for the
@@ -104,7 +104,7 @@ func newStreamMetrics(reg *telemetry.Registry) *streamMetrics {
 		deltaFrames:   reg.Counter("dcserver_ingest_delta_frames_total", "Delta frames applied on /stream."),
 		fullFrames:    reg.Counter("dcserver_ingest_full_frames_total", "Full frames applied on /stream (initial uploads and resyncs)."),
 		fullFallbacks: reg.Counter("dcserver_ingest_full_fallbacks_total", "Full frames applied to a series the session had already seen — resyncs after a NACK, an unencodable change, or a restart."),
-		batches:       reg.Counter("dcserver_stream_batches_total", "Stream batches received (each applied under one shard-lock acquisition per shard)."),
+		batches:       reg.Counter("dcserver_stream_batches_total", "Stream batches received (each landed as one /ingest body)."),
 		batchFrames:   reg.Counter("dcserver_stream_batch_frames_total", "Frames received across all stream batches (divide by batches for the mean batch size)."),
 		nacks:         reg.Counter("dcserver_stream_nacks_total", "Frames rejected with a NACK (stale base or corrupt delta)."),
 		opened:        reg.Counter("dcserver_stream_sessions_opened_total", "Stream sessions opened."),
@@ -231,15 +231,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // POST /stream?session=<id> — body is a gob stream of profdb.StreamBatch;
 // response is one streamAck covering every batch in the body.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.noDelta {
-		writeError(w, http.StatusServiceUnavailable, errDeltaDisabled)
-		return
-	}
 	if !s.beginWrite() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
@@ -290,12 +281,9 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		met.batches.Inc()
 		met.batchFrames.Add(int64(len(b.Frames)))
 
-		// In cluster mode, frames whose series another node owns are
-		// encoded as v4 databases the moment they materialize (the
-		// session base mutates under the next delta) and forwarded per
-		// destination after the local share lands.
-		fwd := forwardSet{}
-		var prep []profstore.PreparedProfile
+		// Each applied frame is encoded the moment it materializes: the
+		// session base mutates in place when the next delta applies.
+		var dbs [][]byte
 		for i := range b.Frames {
 			f := &b.Frames[i]
 			if !f.Delta {
@@ -335,54 +323,25 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 					s.streams.journal.Record("stream_resync", id, "series", key, "reason", "full_resync")
 				}
 			}
-			if s.cluster != nil {
-				if owner := s.cluster.OwnerOf(profstore.LabelsOf(f.Meta)); owner != s.cluster.Self() {
-					if err := fwd.to(owner).Add(p); err != nil {
-						s.streams.drop(sess, "forward_encode_error")
-						writeError(w, http.StatusInternalServerError, err)
-						return
-					}
-					ack.Applied++
-					continue
-				}
-			}
-			// Prepare snapshots the materialized profile (encode for the
-			// WAL, plan the merge) immediately: the session base mutates
-			// in place when the next delta frame applies.
-			pp, err := s.store.Prepare(p)
+			db, err := profdb.EncodeBundle([]profdb.Entry{{Profile: p}})
 			if err != nil {
-				// The frame applied, so this is the store refusing (layout
-				// check, encode): a server fault like a failed append.
-				s.streams.drop(sess, "prepare_error")
+				s.streams.drop(sess, "encode_error")
 				writeError(w, http.StatusInternalServerError, err)
 				return
 			}
-			prep = append(prep, pp)
+			dbs = append(dbs, db)
 			ack.Applied++
 		}
-		if len(prep) > 0 {
-			if _, err := s.store.IngestPrepared(prep); err != nil {
+		if len(dbs) > 0 {
+			if code, err := s.applyBatch(r.Context(), dbs); err != nil {
 				// The client cannot tell how much of the batch landed;
 				// dropping the session forces a clean full resync.
-				s.streams.drop(sess, "ingest_error")
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-		}
-		for _, owner := range sortedKeys(fwd) {
-			fw := fwd[owner]
-			body, err := fw.Bytes()
-			if err != nil {
-				s.streams.drop(sess, "forward_encode_error")
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-			if _, err := s.cluster.ForwardBytes(r.Context(), owner, body, fw.Len()); err != nil {
-				// Never retried — a re-delivered merge would double-count.
-				// Drop the session and surface the failure; the client
-				// decides whether to re-drive the round.
-				s.streams.drop(sess, "forward_error")
-				writeError(w, http.StatusBadGateway, err)
+				reason := "ingest_error"
+				if code == http.StatusBadGateway {
+					reason = "forward_error"
+				}
+				s.streams.drop(sess, reason)
+				writeError(w, code, err)
 				return
 			}
 		}
@@ -394,4 +353,22 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ack.Dict = sess.dec.DictLen()
 	writeJSON(w, ack)
+}
+
+// applyBatch lands one batch's materialized profiles, each a standalone v4
+// database, as the /ingest body they join into: planned from those bytes
+// and applied like any other body, routed in cluster mode. On failure it
+// returns the status to answer with (see apply).
+func (s *server) applyBatch(ctx context.Context, dbs [][]byte) (int, error) {
+	body, err := profdb.JoinBundles(dbs)
+	if err != nil {
+		return http.StatusInternalServerError, err
+	}
+	planned, err := profdb.PlanBundle(body)
+	if err != nil {
+		return http.StatusInternalServerError, err
+	}
+	defer planned.Release()
+	_, code, err := s.apply(ctx, planned, s.cluster != nil)
+	return code, err
 }

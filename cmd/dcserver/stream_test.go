@@ -276,27 +276,14 @@ func TestStreamSessionLifecycle(t *testing.T) {
 	}
 }
 
-func TestStreamKillSwitchAndValidation(t *testing.T) {
+func TestStreamValidation(t *testing.T) {
 	clock := &testClock{t: testBase}
 	store := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now})
 	defer store.Close()
 
-	// The -no-delta kill switch refuses sessions outright; clients fall
-	// back to full /ingest uploads.
-	off := httptest.NewServer(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest, true))
-	defer off.Close()
-	resp, err := http.Post(off.URL+"/stream?session=s1", "application/octet-stream", bytes.NewReader(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("kill switch: status %d, want 503", resp.StatusCode)
-	}
-
-	ts := httptest.NewServer(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest, false))
+	ts := httptest.NewServer(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest))
 	defer ts.Close()
-	resp, err = http.Get(ts.URL + "/stream")
+	resp, err := http.Get(ts.URL + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +531,7 @@ func TestStreamServerRestartMidSession(t *testing.T) {
 	defer ref.Close()
 
 	var h atomic.Value
-	h.Store(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest, false))
+	h.Store(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest))
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.Load().(http.Handler).ServeHTTP(w, r)
 	}))
@@ -570,7 +557,7 @@ func TestStreamServerRestartMidSession(t *testing.T) {
 
 	// "Restart": the store survives, every session (and its dictionary)
 	// is gone.
-	h.Store(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest, false))
+	h.Store(newHandler(store, profdb.DefaultMaxBytes, defaultSlowRequest))
 
 	// The next delta touches only known structure, so it ships no
 	// dictionary additions — the fresh server dictionary cannot match and

@@ -82,7 +82,7 @@ func TestEventsEndpoint(t *testing.T) {
 	store := profstore.New(profstore.Config{Window: time.Minute, Now: clock.Now})
 	// A nanosecond threshold journals every request as slow, giving the
 	// endpoint something to filter.
-	ts := httptest.NewServer(newHandler(store, profdb.DefaultMaxBytes, time.Nanosecond, false))
+	ts := httptest.NewServer(newHandler(store, profdb.DefaultMaxBytes, time.Nanosecond))
 	t.Cleanup(ts.Close)
 
 	resp := postIngest(t, ts, dcpBytes(t, testProfile("UNet", 1)))

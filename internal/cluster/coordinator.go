@@ -392,8 +392,8 @@ func (c *Coordinator) Regressions(ctx context.Context, q profstore.RegressionQue
 	return profstore.SortFindings(all, q.Limit), stats, cov, nil
 }
 
-// ForwardBytes sends a forward body (see Forwarder) holding n profiles to
-// their owning node's /cluster/ingest. No retry: a
+// ForwardBytes sends a forward body (an /ingest body, see EncodeForward)
+// holding n profiles to their owning node's /cluster/ingest. No retry: a
 // re-delivered merge would double-count; the caller surfaces the error to
 // its client instead.
 func (c *Coordinator) ForwardBytes(ctx context.Context, nodeID string, body []byte, n int) (IngestSummary, error) {

@@ -141,53 +141,23 @@ func IngestPlans(store *profstore.Store, ps *profdb.Plans, route func(profstore.
 	return sum, nil
 }
 
-// Forwarder accumulates the profiles bound for one destination node as
-// standalone v4 databases, and Bytes joins them into the one v4 bundle an
-// /ingest body would be: a forward is exactly what the router received,
-// with nothing re-encoded. Profiles are captured the moment they are added:
-// a delta session's materialized profile mutates in place when the next
-// frame applies, so deferring the encode would forward the wrong snapshot.
-// The zero value is an empty batch.
-type Forwarder struct {
-	dbs [][]byte
-}
-
-// Add puts one profile into the batch, encoded now.
-func (f *Forwarder) Add(p *profiler.Profile) error {
-	db, err := persist.EncodeProfile(p)
-	if err != nil {
-		return fmt.Errorf("cluster: encode forward: %w", err)
+// EncodeForward packs profiles into one forward body: the v4 bundle an
+// /ingest body of those profiles would be, joined from each profile's
+// standalone database (a body of one profile is that database itself).
+func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
+	dbs := make([][]byte, len(profs))
+	for i, p := range profs {
+		db, err := persist.EncodeProfile(p)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: encode forward: %w", err)
+		}
+		dbs[i] = db
 	}
-	f.AddEncoded(db)
-	return nil
-}
-
-// AddEncoded puts one profile into the batch as the standalone v4 database
-// the router received and validated it as (profdb.Planned.Encoded).
-func (f *Forwarder) AddEncoded(db []byte) { f.dbs = append(f.dbs, db) }
-
-// Len is how many profiles the batch holds.
-func (f *Forwarder) Len() int { return len(f.dbs) }
-
-// Bytes returns the batch as one v4 bundle for POST /cluster/ingest. A
-// batch of one is the profile's own database, not a copy.
-func (f *Forwarder) Bytes() ([]byte, error) {
-	b, err := profdb.JoinBundles(f.dbs)
+	b, err := profdb.JoinBundles(dbs)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encode forward: %w", err)
 	}
 	return b, nil
-}
-
-// EncodeForward packs profiles into one forward body.
-func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
-	fw := new(Forwarder)
-	for _, p := range profs {
-		if err := fw.Add(p); err != nil {
-			return nil, err
-		}
-	}
-	return fw.Bytes()
 }
 
 // ApplyForward ingests a forward body read from r, at most maxBytes (> 0)

@@ -217,8 +217,9 @@ func runDeltaEquivalenceScript(t *testing.T, seed int64) {
 	// uploadRound mutates a random subset of agents, ships each through
 	// its session, and lands the results in every pair: the control side
 	// ingests the cumulative profiles one by one (the v2 path), the delta
-	// side ingests the materialized session output through the same
-	// Prepare/IngestPrepared batch path the /stream handler uses.
+	// side ingests the materialized session output through the store's
+	// Prepare/IngestPrepared batch write (the path cmd/dcbench's replay
+	// takes; dcserver's /stream lands the same profiles as /ingest bodies).
 	uploadRound := func() {
 		count := rng.Intn(len(agents)) + 1
 		perm := rng.Perm(len(agents))[:count]

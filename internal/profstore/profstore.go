@@ -501,9 +501,10 @@ func (pp *PreparedProfile) PayloadBytes() int { return len(pp.payload) }
 
 // Prepare runs the lock-free half of Ingest — the WAL payload and the
 // merge plan, both full-tree walks — and returns an entry that owns its
-// plan, for IngestPrepared. The streaming ingest session prepares each
-// materialized profile as it is decoded, then applies whole batches under
-// one shard lock acquisition.
+// plan, for IngestPrepared: a Go caller holding trees that may change
+// before the batch lands (cmd/dcbench's replay) prepares each, then
+// applies whole batches under one shard lock acquisition. No served path
+// uses it; dcserver lands every body through IngestPlan.
 func (s *Store) Prepare(p *profiler.Profile) (PreparedProfile, error) {
 	if p == nil || p.Tree == nil {
 		return PreparedProfile{}, fmt.Errorf("profstore: nil profile")
