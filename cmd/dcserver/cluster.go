@@ -55,7 +55,7 @@ func (s *server) handleClusterPartials(w http.ResponseWriter, r *http.Request) {
 }
 
 // POST /cluster/ingest — a forward from a peer's ingest router: an
-// /ingest body (one v4 bundle) holding profiles this node owns, applied
+// /ingest body (one profdb bundle) holding profiles this node owns, applied
 // locally through the same code as /ingest and never routed again.
 func (s *server) handleClusterIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingest(w, r, false)

@@ -173,6 +173,13 @@ var equivalenceQueries = []struct {
 	{"/hotspots?top=abc", http.StatusBadRequest},
 	{"/hotspots?top=-1", http.StatusBadRequest},
 	{"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=-1", http.StatusBadRequest},
+	// Integer times are unix seconds or nanoseconds; milliseconds and
+	// microseconds are refused, not read as a time no window holds.
+	{"/hotspots?from=1767225660&to=1767225780&top=5", http.StatusOK},
+	{"/hotspots?from=1767225660000000000&top=5", http.StatusOK},
+	{"/hotspots?from=1767225660000&top=5", http.StatusBadRequest},
+	{"/hotspots?to=1767225780000000&top=5", http.StatusBadRequest},
+	{"/diff?before=1767225600&after=1767225720000000000&top=10", http.StatusOK},
 	{"/flame?format=folded", http.StatusOK},
 	{"/analyze", http.StatusOK},
 	{"/diff?before=2026-01-01T00:00:00Z&after=2026-01-01T00:02:00Z&top=10", http.StatusOK},
@@ -527,13 +534,23 @@ func TestClusterJoinOverHTTP(t *testing.T) {
 	}
 }
 
-// TestClusterMixedWireVersionDegrades boots a router beside a peer of the
-// previous release, whose /cluster/partials answers indented JSON and whose
-// /healthz reports no peer-wire version. The router must not fail or
-// misread the answer: it answers 200 from its own share with the old peer
-// named in coverage.down, and /cluster/status shows that peer down with an
-// error naming the wire version, although its /healthz answers 200.
+// TestClusterMixedWireVersionDegrades boots a router beside a peer of an
+// older release: one from before the peer wire, whose /cluster/partials
+// answers indented JSON and whose /healthz reports no peer-wire version,
+// and one speaking peer wire 2, whose answers carry profdb v4 trees. The
+// router must not fail or misread the answer: it answers 200 from its own
+// share with the old peer named in coverage.down, and /cluster/status
+// shows that peer down with an error naming the wire version, although
+// its /healthz answers 200.
 func TestClusterMixedWireVersionDegrades(t *testing.T) {
+	t.Run("json", func(t *testing.T) { mixedWireVersion(t, 0) })
+	t.Run("peer wire 2", func(t *testing.T) { mixedWireVersion(t, 2) })
+}
+
+// mixedWireVersion runs TestClusterMixedWireVersionDegrades against an old
+// peer speaking peer-wire version wireVersion, 0 for JSON answers and no
+// version in /healthz.
+func mixedWireVersion(t *testing.T, wireVersion int) {
 	clock := &testClock{t: testBase}
 	cfg := profstore.Config{Window: time.Minute, Now: clock.Now}
 	old := profstore.New(cfg)
@@ -547,13 +564,20 @@ func TestClusterMixedWireVersionDegrades(t *testing.T) {
 			writeQueryError(w, err)
 			return
 		}
-		writeJSON(w, resp)
+		if wireVersion == 0 {
+			writeJSON(w, resp)
+			return
+		}
+		msg := cluster.EncodePartials(resp)
+		msg[len("DEEPCONTEXT-PEER")] = byte(wireVersion) // the version follows the magic
+		w.Write(msg)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, struct {
 			Status   string `json:"status"`
 			Ingested int64  `json:"ingested"`
-		}{"ok", old.Stats().Ingested})
+			PeerWire int    `json:"peer_wire,omitempty"`
+		}{"ok", old.Stats().Ingested, wireVersion})
 	})
 	legacy := httptest.NewServer(mux)
 	defer legacy.Close()

@@ -1,7 +1,7 @@
 // Command dcserver is the continuous-profiling service: an HTTP frontend
 // over the internal/profstore rolling aggregator. Clients POST saved
-// profile databases (.dcp: single profiles or bundles, profdb v4 as written
-// by every current producer, gob v2 still accepted) to /ingest; the
+// profile databases (.dcp: single profiles or bundles, profdb v5 as written
+// by every current producer, v4 and gob v2 still accepted) to /ingest; the
 // server merges them into time-bucketed windows keyed by
 // workload/vendor/framework and serves hotspot, diff, flame-graph and
 // analyzer queries over any window range.
@@ -86,7 +86,7 @@
 // Cluster mode (-node-id with -peers, or a committed CLUSTER.json in the
 // data dir) partitions series across N dcserver nodes by consistent
 // hash: /ingest and /stream forward remote-owned profiles to their
-// owning node's /cluster/ingest as an /ingest body (one v4 bundle), and
+// owning node's /cluster/ingest as an /ingest body (one profdb bundle), and
 // the query endpoints scatter-gather and fold partial results in
 // canonical order — a healthy cluster answers byte-identical to a single
 // node holding the union of the data; a down peer degrades responses to

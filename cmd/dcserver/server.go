@@ -221,8 +221,10 @@ func queryLabels(q url.Values) profstore.Labels {
 	}
 }
 
-// parseTime accepts RFC3339 or integer unix seconds/nanoseconds; empty
-// means zero (open bound).
+// parseTime accepts RFC3339 or integer unix seconds (below 1e11, before
+// the year 5138) or nanoseconds (from 1e17, after March 1973); empty means
+// zero (open bound). An integer between the two — milliseconds or
+// microseconds — is refused rather than read as a time no window holds.
 func parseTime(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
@@ -231,12 +233,14 @@ func parseTime(s string) (time.Time, error) {
 		return t, nil
 	}
 	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		if n > 1e15 { // nanoseconds
+		switch {
+		case n < 1e11:
+			return time.Unix(n, 0), nil
+		case n >= 1e17:
 			return time.Unix(0, n), nil
 		}
-		return time.Unix(n, 0), nil
 	}
-	return time.Time{}, fmt.Errorf("bad time %q (want RFC3339 or unix seconds)", s)
+	return time.Time{}, fmt.Errorf("bad time %q (want RFC3339, unix seconds or unix nanoseconds)", s)
 }
 
 func queryRange(q url.Values) (from, to time.Time, err error) {
@@ -264,7 +268,7 @@ func queryCount(q url.Values, name string, def int) (int, error) {
 // POST /ingest — body is a .dcp database (one profile or a bundle); every
 // contained profile is folded into the current window. In cluster mode the
 // handler is the ingest router: profiles this node owns land locally, the
-// rest travel, as the bytes received, to their owning node as one v4
+// rest travel, as the bytes received, to their owning node as one
 // bundle per destination.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingest(w, r, s.cluster != nil)
@@ -304,7 +308,7 @@ func (s *server) ingest(w http.ResponseWriter, r *http.Request, route bool) {
 // store: cluster.IngestPlans folds each record this node keeps straight
 // into its window tree, with the bytes it was planned from as its WAL
 // record. With route set, a record another node owns travels instead, as
-// those same bytes, in one v4 bundle per owning node, sent after the local
+// those same bytes, in one bundle per owning node, sent after the local
 // share landed. On failure apply returns the status to answer with: 500
 // for a store failure, 502 for a failed forward. Either way the records
 // ahead of the failure stay applied.

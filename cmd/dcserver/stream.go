@@ -5,7 +5,7 @@
 // the server across POSTs, so a client uploads the full profile once and
 // then ships only changed subtrees. Each POST body is a gob stream of
 // profdb.StreamBatch records. Every frame a batch applies is captured as
-// the standalone v4 database of its materialized profile, and the batch
+// the standalone v5 database of its materialized profile, and the batch
 // lands as the /ingest body those databases join into, through the same
 // apply as /ingest: the WAL records, forwards and recovery semantics are
 // /ingest's.
@@ -85,6 +85,7 @@ type streamSession struct {
 type streamMetrics struct {
 	deltaBytes    *telemetry.Counter
 	fullBytes     *telemetry.Counter
+	typeBytes     *telemetry.Counter
 	deltaFrames   *telemetry.Counter
 	fullFrames    *telemetry.Counter
 	fullFallbacks *telemetry.Counter
@@ -99,8 +100,9 @@ type streamMetrics struct {
 
 func newStreamMetrics(reg *telemetry.Registry) *streamMetrics {
 	return &streamMetrics{
-		deltaBytes:    reg.Counter("dcserver_ingest_delta_bytes_total", "Wire bytes received as delta frames on /stream (batch framing included)."),
+		deltaBytes:    reg.Counter("dcserver_ingest_delta_bytes_total", "Wire bytes received as delta frames on /stream (batch framing included, gob type definitions not)."),
 		fullBytes:     reg.Counter("dcserver_ingest_full_bytes_total", "Wire bytes received as embedded full payloads on /stream (initial uploads and resyncs)."),
+		typeBytes:     reg.Counter("dcserver_stream_type_bytes_total", "Wire bytes of the gob type definitions that open every /stream body."),
 		deltaFrames:   reg.Counter("dcserver_ingest_delta_frames_total", "Delta frames applied on /stream."),
 		fullFrames:    reg.Counter("dcserver_ingest_full_frames_total", "Full frames applied on /stream (initial uploads and resyncs)."),
 		fullFallbacks: reg.Counter("dcserver_ingest_full_fallbacks_total", "Full frames applied to a series the session had already seen — resyncs after a NACK, an unencodable change, or a restart."),
@@ -216,16 +218,83 @@ func (g *streamRegistry) close(sess *streamSession) {
 }
 
 // countingReader counts bytes consumed from the request body so wire
-// bytes can be attributed to delta versus full traffic.
+// bytes can be attributed to delta versus full traffic, and counts apart
+// the bytes of gob's type-definition messages: each request body is a
+// fresh gob stream, which describes StreamBatch's types before its first
+// value, and those bytes belong to no frame.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r     io.Reader
+	n     int64 // bytes read
+	types int64 // bytes of type-definition messages
+	// The gob message being read: head collects its byte count, then its
+	// type id; idAt is where the id starts in head once the count is
+	// known, and left is the message's bytes still to come. body is set
+	// once the id is known, isType when it is negative.
+	head         []byte
+	idAt         int
+	left         int64
+	body, isType bool
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	c.scan(p[:n])
 	return n, err
+}
+
+// scan follows gob's message framing over the next bytes of the stream:
+// a message is a byte count, then that many bytes that start with a
+// signed type id.
+func (c *countingReader) scan(b []byte) {
+	for len(b) > 0 {
+		if c.body {
+			k := min(c.left, int64(len(b)))
+			if c.isType {
+				c.types += k
+			}
+			c.left -= k
+			b = b[k:]
+			c.body = c.left > 0
+			continue
+		}
+		c.head = append(c.head, b[0])
+		b = b[1:]
+		if c.idAt == 0 {
+			if k, v := gobUint(c.head); k > 0 {
+				c.idAt, c.left = k, int64(v)
+			}
+			continue
+		}
+		c.left--
+		if k, v := gobUint(c.head[c.idAt:]); k > 0 {
+			// A signed gob integer keeps its sign in bit 0.
+			if c.isType = v&1 == 1; c.isType {
+				c.types += int64(len(c.head))
+			}
+			c.head, c.idAt = c.head[:0], 0
+			c.body = c.left > 0
+		}
+	}
+}
+
+// gobUint decodes the gob unsigned integer at the start of b: a byte below
+// 0x80, or a byte holding the negated length of the big-endian value that
+// follows. It returns the integer's length, or 0 while b holds only part
+// of it.
+func gobUint(b []byte) (int, uint64) {
+	if b[0] < 0x80 {
+		return 1, uint64(b[0])
+	}
+	k := 1 + 256 - int(b[0])
+	if len(b) < k {
+		return 0, 0
+	}
+	var v uint64
+	for _, x := range b[1:k] {
+		v = v<<8 | uint64(x)
+	}
+	return k, v
 }
 
 // POST /stream?session=<id> — body is a gob stream of profdb.StreamBatch;
@@ -246,13 +315,15 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	gdec := gob.NewDecoder(cr)
 
 	// Wire accounting happens whatever way the request ends: everything
-	// that is not an embedded full payload is delta/framing traffic.
+	// that is neither a type definition nor an embedded full payload is
+	// delta traffic, batch framing included.
 	var fullPayload int64
 	defer func() {
-		if d := cr.n - fullPayload; d > 0 {
+		if d := cr.n - cr.types - fullPayload; d > 0 {
 			met.deltaBytes.Add(d)
 		}
 		met.fullBytes.Add(fullPayload)
+		met.typeBytes.Add(cr.types)
 	}()
 
 	sess := s.streams.acquire(id, s.maxBody)
@@ -355,7 +426,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ack)
 }
 
-// applyBatch lands one batch's materialized profiles, each a standalone v4
+// applyBatch lands one batch's materialized profiles, each a standalone v5
 // database, as the /ingest body they join into: planned from those bytes
 // and applied like any other body, routed in cluster mode. On failure it
 // returns the status to answer with (see apply).

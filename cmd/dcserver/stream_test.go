@@ -199,10 +199,10 @@ func TestStreamSessionLifecycle(t *testing.T) {
 			// into the delta side, 16 rounds) was 0.16 under the gob v2
 			// codec and 0.2028 once v4 shrank full frames (46,610 →
 			// 32,596 B) more than deltas (7,478 → 6,611 B). Per frame, as
-			// counted here (full frames not spread over the deltas), this
-			// case measures 0.14 under v4; 0.25 leaves room for a codec
-			// change that shrinks full frames again without pinning the
-			// codec's exact sizes.
+			// counted here (full frames not spread over the deltas, gob
+			// type definitions counted apart), this case measures 0.13
+			// under v5; 0.25 leaves room for a codec change that shrinks
+			// full frames again without pinning the codec's exact sizes.
 			maxRatio: 0.25,
 		},
 	} {
@@ -251,6 +251,23 @@ func TestStreamSessionLifecycle(t *testing.T) {
 			if deltaPer == 0 || ratio > tc.maxRatio {
 				t.Fatalf("delta frames not cheap enough on the wire: %d B/frame vs full %d B/frame (ratio %.4f, max %.2f)",
 					deltaPer, fullPer, ratio, tc.maxRatio)
+			}
+			// Every request body, the Close batch's included, is a fresh
+			// gob stream that opens with StreamBatch's type definitions:
+			// what a second batch on one encoder does not repeat. They
+			// are counted apart, not charged to delta frames.
+			var batches bytes.Buffer
+			enc := gob.NewEncoder(&batches)
+			var sizes [2]int
+			for i := range sizes {
+				if err := profdb.WriteBatch(enc, &profdb.StreamBatch{Seq: 1}); err != nil {
+					t.Fatal(err)
+				}
+				sizes[i] = batches.Len()
+			}
+			types := int64(sizes[0]-(sizes[1]-sizes[0])) * int64(tc.rounds+1)
+			if got := scrapeMetric(t, ts, "dcserver_stream_type_bytes_total"); types <= 0 || got != types {
+				t.Fatalf("type definition bytes = %d, want %d", got, types)
 			}
 			t.Logf("delta %d B/frame, full %d B/frame, ratio %.4f", deltaPer, fullPer, ratio)
 			for name, want := range map[string]int64{

@@ -70,9 +70,10 @@ func deltaMetric(a, b Metric) Metric {
 // the paper's lib+PC rule is exact, but PCs are not comparable across runs
 // or machines — code layout shifts — so profiles must be normalized before
 // a cross-run Merge or Diff, or identical kernels appear as disjoint
-// contexts. It is a Plan built from t, merged into an empty tree. It panics
-// on a tree whose nodes carry more metric slots than its schema has names,
-// which no Tree method builds.
+// contexts. It is a Plan built from t, merged into an empty tree, whose
+// inclusive aggregates are then derived from the merged exclusive ones. It
+// panics on a tree whose nodes carry more metric slots than its schema has
+// names, which no Tree method builds.
 func NormalizeAddresses(t *Tree) *Tree {
 	p := normalizePlans.Get().(*Plan)
 	defer func() {
@@ -84,6 +85,7 @@ func NormalizeAddresses(t *Tree) *Tree {
 	}
 	out := New()
 	out.MergePlan(p)
+	out.DeriveInclusive()
 	return out
 }
 
@@ -128,10 +130,14 @@ func fnvStr(h uint64, s string) uint64 {
 }
 
 // Diff returns the signed delta tree a − b: its schema is the union of both
-// schemas, its structure the union of both node sets, and every node carries
-// deltaMetric of the two sides (a node absent on one side contributes zero).
-// Positive values mean a spent more than b — with a = after and b = before,
-// positive deltas are regressions. Neither input is modified.
+// schemas, its structure the union of both node sets, and every node
+// carries deltaMetric of the two sides' exclusive aggregates (a node absent
+// on one side contributes zero), with inclusive aggregates derived from
+// those. Only Sum and Count of an inclusive slot are delta figures: its
+// Min, Max, Mean and M2 are those of the merged per-node deltas below it.
+// Positive values mean a spent more than b — with a = after and b =
+// before, positive deltas are regressions. Neither input is modified, and
+// neither needs inclusive aggregates.
 func Diff(a, b *Tree) *Tree {
 	out := New()
 	remapA := remapInto(out.Schema, a.Schema)
@@ -140,30 +146,20 @@ func Diff(a, b *Tree) *Tree {
 
 	var rec func(dst, an, bn *Node)
 	rec = func(dst, an, bn *Node) {
-		dst.ensure(size)
-		aE := make([]Metric, size)
-		aI := make([]Metric, size)
+		dst.Excl = make([]Metric, size)
 		bE := make([]Metric, size)
-		bI := make([]Metric, size)
 		if an != nil {
 			for i := range an.Excl {
-				aE[remapA[i]] = an.Excl[i]
-			}
-			for i := range an.Incl {
-				aI[remapA[i]] = an.Incl[i]
+				dst.Excl[remapA[i]] = an.Excl[i]
 			}
 		}
 		if bn != nil {
 			for i := range bn.Excl {
 				bE[remapB[i]] = bn.Excl[i]
 			}
-			for i := range bn.Incl {
-				bI[remapB[i]] = bn.Incl[i]
-			}
 		}
-		for id := 0; id < size; id++ {
-			dst.Excl[id] = deltaMetric(aE[id], bE[id])
-			dst.Incl[id] = deltaMetric(aI[id], bI[id])
+		for id := range dst.Excl {
+			dst.Excl[id] = deltaMetric(dst.Excl[id], bE[id])
 		}
 		// Children present in a keep a's order; b-only children follow.
 		if an != nil {
@@ -185,5 +181,6 @@ func Diff(a, b *Tree) *Tree {
 		}
 	}
 	rec(out.Root, a.Root, b.Root)
+	out.DeriveInclusive()
 	return out
 }

@@ -185,6 +185,11 @@ func TestDiffSignedDeltas(t *testing.T) {
 	if got := d.Root.InclValue(id); got != -700 {
 		t.Fatalf("root delta = %v, want -700 (improvement)", got)
 	}
+	// The derived inclusive slot merges the per-node deltas: its Sum and
+	// Count are the delta's, its extremes those of the nodes below.
+	if got, want := d.Root.Incl[id], (Metric{Sum: -700, Count: 2, Min: -1000, Max: 300}); got.Sum != want.Sum || got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {
+		t.Fatalf("root inclusive slot = %+v, want Sum/Count/Min/Max of %+v", got, want)
+	}
 	var labels []string
 	var sums []float64
 	d.Visit(func(n *Node) {

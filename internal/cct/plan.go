@@ -10,17 +10,19 @@ import (
 // without building the profile's own tree first. It holds the profile's
 // metric names, its nodes in DFS pre-order (each naming an earlier node as
 // its parent and carrying a NormalizeFrame'd frame), and every node's
-// exclusive and inclusive metric slots.
+// exclusive metric slots. A plan carries no inclusive slots: a tree it is
+// merged into holds exclusive aggregates only, and a reader that needs
+// inclusive ones derives them (Tree.DeriveInclusive).
 //
-// A plan is filled by one producer — profdb's record planner, reading v4
-// bytes into the plan's own slot buffer (Slots), or FromTree, sharing a
-// tree's metric arrays — through Reset, AddName and Add, and consumed by
-// Tree.MergePlan. Siblings that unify only after normalization (same name
-// and library, different PCs) are folded into the first of them as they
-// are added, in add order, so merging a plan is bit-identical to merging
-// the tree NormalizeAddresses would have built. Plans are reusable: Reset
-// keeps every buffer. A plan is not safe for concurrent use, MergePlan
-// included.
+// A plan is filled by one producer — profdb's record planner, reading
+// database bytes into the plan's own slot buffer (Slots), or FromTree,
+// sharing a tree's metric arrays — through Reset, AddName and Add, and
+// consumed by Tree.MergePlan. Siblings that unify only after
+// normalization (same name and library, different PCs) are folded into
+// the first of them as they are added, in add order, so merging a plan is
+// bit-identical to merging the tree NormalizeAddresses would have built.
+// Plans are reusable: Reset keeps every buffer. A plan is not safe for
+// concurrent use, MergePlan included.
 type Plan struct {
 	names []string
 	nodes []planNode
@@ -39,9 +41,9 @@ type Plan struct {
 }
 
 type planNode struct {
-	frame      Frame
-	parent     int32
-	excl, incl []Metric
+	frame  Frame
+	parent int32
+	excl   []Metric
 }
 
 // sibKey is one sibling-index entry: parent is the parent's index shifted
@@ -106,20 +108,20 @@ func (p *Plan) Slots(n int) []Metric {
 
 // Add appends the next node in DFS pre-order: f as recorded (its address
 // is normalized here), parent the add index of an earlier node (ignored for
-// the first node, the root), and its exclusive and inclusive slots. The
-// plan keeps excl and incl as they are — it never writes to them — so they
-// must not change until the plan is merged, reset or detached. Add fails
+// the first node, the root), and its exclusive slots. The plan keeps excl
+// as it is — it never writes to it — so it must not change until the plan
+// is merged, reset or detached. Add fails
 // when the node carries more slots than there are metric names, names a
 // parent not yet added, or unifies with an earlier sibling as recorded — a
 // profile never holds two such siblings.
-func (p *Plan) Add(parent int, f Frame, excl, incl []Metric) error {
+func (p *Plan) Add(parent int, f Frame, excl []Metric) error {
 	i := len(p.of)
-	if len(excl) > len(p.names) || len(incl) > len(p.names) {
-		return fmt.Errorf("node %d carries %d/%d metric slots for %d metric names", i, len(excl), len(incl), len(p.names))
+	if len(excl) > len(p.names) {
+		return fmt.Errorf("node %d carries %d metric slots for %d metric names", i, len(excl), len(p.names))
 	}
 	if i == 0 {
 		p.of = append(p.of, 0)
-		p.nodes = append(p.nodes, planNode{frame: Frame{Kind: KindRoot}, parent: -1, excl: excl, incl: incl})
+		p.nodes = append(p.nodes, planNode{frame: Frame{Kind: KindRoot}, parent: -1, excl: excl})
 		return nil
 	}
 	if parent < 0 || parent >= i {
@@ -137,14 +139,13 @@ func (p *Plan) Add(parent int, f Frame, excl, incl []Metric) error {
 	if j, ok := p.sib[norm]; ok {
 		n := &p.nodes[j]
 		n.excl = p.fold(n.excl, excl)
-		n.incl = p.fold(n.incl, incl)
 		p.of = append(p.of, j)
 		return nil
 	}
 	j := int32(len(p.nodes))
 	p.sib[norm] = j
 	p.of = append(p.of, j)
-	p.nodes = append(p.nodes, planNode{frame: f, parent: pp, excl: excl, incl: incl})
+	p.nodes = append(p.nodes, planNode{frame: f, parent: pp, excl: excl})
 	return nil
 }
 
@@ -165,10 +166,10 @@ func (p *Plan) fold(dst, src []Metric) []Metric {
 
 // FromTree resets the plan and fills it from t, the producer for profiles
 // that arrive as trees: a materialized delta, a legacy gob record, a Go
-// caller's profile. The plan shares t's metric arrays, so t must not
-// change until the plan is merged — or Detach is called. FromTree fails
-// only for a tree whose nodes carry more metric slots than its schema has
-// names.
+// caller's profile. The plan takes t's exclusive slots only and shares
+// their arrays, so t must not change until the plan is merged — or Detach
+// is called. FromTree fails only for a tree whose nodes carry more metric
+// slots than its schema has names.
 func (p *Plan) FromTree(t *Tree) error {
 	p.Reset()
 	for _, name := range t.Schema.names {
@@ -179,7 +180,7 @@ func (p *Plan) FromTree(t *Tree) error {
 	var rec func(n *Node, parent int) error
 	rec = func(n *Node, parent int) error {
 		self := len(p.of)
-		if err := p.Add(parent, n.Frame, n.Excl, n.Incl); err != nil {
+		if err := p.Add(parent, n.Frame, n.Excl); err != nil {
 			return err
 		}
 		for _, c := range n.order {
@@ -198,26 +199,21 @@ func (p *Plan) FromTree(t *Tree) error {
 func (p *Plan) Detach() {
 	total := 0
 	for i := range p.nodes {
-		total += len(p.nodes[i].excl) + len(p.nodes[i].incl)
+		total += len(p.nodes[i].excl)
 	}
 	buf := make([]Metric, total)
-	take := func(ms []Metric) []Metric {
-		n := copy(buf, ms)
-		out := buf[:n:n]
-		buf = buf[n:]
-		return out
-	}
 	for i := range p.nodes {
 		n := &p.nodes[i]
-		n.excl, n.incl = take(n.excl), take(n.incl)
+		k := copy(buf, n.excl)
+		n.excl, buf = buf[:k:k], buf[k:]
 	}
 }
 
 // MergePlan folds the plan into t: the plan's metric names are unified
 // into t's schema, and each plan node, in order, is one child lookup under
-// its parent's tree node plus the parallel Welford merge of its slots. The
-// plan is only read (beyond MergePlan's own scratch) and may be merged
-// again.
+// its parent's tree node plus the parallel Welford merge of its exclusive
+// slots; no node gains inclusive slots. The plan is only read (beyond
+// MergePlan's own scratch) and may be merged again.
 func (t *Tree) MergePlan(p *Plan) {
 	p.remap = p.remap[:0]
 	for _, name := range p.names {
@@ -232,15 +228,10 @@ func (t *Tree) MergePlan(p *Plan) {
 			d = t.child(p.dst[pn.parent], pn.frame)
 		}
 		p.dst[i] = d
-		d.ensure(size)
+		grow(&d.Excl, size)
 		for k := range pn.excl {
 			if m := &pn.excl[k]; !m.Empty() {
 				d.Excl[p.remap[k]].Merge(*m)
-			}
-		}
-		for k := range pn.incl {
-			if m := &pn.incl[k]; !m.Empty() {
-				d.Incl[p.remap[k]].Merge(*m)
 			}
 		}
 	}

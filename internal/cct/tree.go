@@ -10,8 +10,10 @@ type Node struct {
 	order    []*Node
 
 	// Excl aggregates samples attributed directly to this node;
-	// Incl additionally includes all descendants (maintained by
-	// root-ward propagation on every update, per the paper's Fig. 5).
+	// Incl additionally includes all descendants. The profiler maintains
+	// Incl by root-ward propagation on every update (the paper's Fig. 5).
+	// Stored and shipped trees carry Excl only, and a reader derives Incl
+	// from it (Tree.DeriveInclusive).
 	Excl []Metric
 	Incl []Metric
 }
@@ -87,18 +89,20 @@ func (n *Node) ExclMetric(id MetricID) *Metric {
 }
 
 func (n *Node) ensure(size int) {
-	// Grow in one exact-size allocation per array: merge and record paths
-	// call this for every fresh node, and append's doubling both
-	// over-allocates and re-zeroes the array several times on the way up.
-	if len(n.Excl) < size {
-		e := make([]Metric, size)
-		copy(e, n.Excl)
-		n.Excl = e
-	}
-	if len(n.Incl) < size {
-		c := make([]Metric, size)
-		copy(c, n.Incl)
-		n.Incl = c
+	grow(&n.Excl, size)
+	grow(&n.Incl, size)
+}
+
+// grow extends *ms to size slots, in one exact-size allocation: merge and
+// record paths call it for every fresh node, and append's doubling both
+// over-allocates and re-zeroes the array several times on the way up. It
+// writes *ms only when it grows: the record path calls it for every
+// ancestor of every sample.
+func grow(ms *[]Metric, size int) {
+	if len(*ms) < size {
+		out := make([]Metric, size)
+		copy(out, *ms)
+		*ms = out
 	}
 }
 
@@ -262,6 +266,34 @@ func (t *Tree) AddMetric(n *Node, id MetricID, v float64) {
 	}
 }
 
+// DeriveInclusive sets every node's inclusive aggregates from the
+// exclusive ones, in one post-order pass: a node's Incl is its Excl merged
+// with its children's Incl, in child order. A metric no node of a subtree
+// measured leaves an empty slot, as propagation does. Sum, Count, Min and
+// Max come out exactly as the profiler's propagation computes them for
+// integer-valued samples; the Welford pair within rounding. Any Incl the
+// tree held before is replaced.
+func (t *Tree) DeriveInclusive() {
+	size := t.Schema.Len()
+	slab := make([]Metric, t.nodes*size)
+	var rec func(n *Node)
+	rec = func(n *Node) {
+		incl := slab[:size:size]
+		slab = slab[size:]
+		copy(incl, n.Excl)
+		for _, c := range n.order {
+			rec(c)
+			for k := range c.Incl {
+				if !c.Incl[k].Empty() {
+					incl[k].Merge(c.Incl[k])
+				}
+			}
+		}
+		n.Incl = incl
+	}
+	rec(t.Root)
+}
+
 // Visit walks the tree depth-first (parent before children).
 func (t *Tree) Visit(fn func(*Node)) {
 	var rec func(*Node)
@@ -300,9 +332,11 @@ func (t *Tree) Leaves() []*Node {
 }
 
 // Merge folds other's metrics and structure into t (used to combine
-// per-thread subtrees or profiles from repeated runs). When both trees share
-// one interner — per-thread shards of the same session — src node IDs are
-// reused directly instead of re-interning every frame.
+// per-thread subtrees or profiles from repeated runs). Inclusive slots are
+// merged where other's nodes hold them, so merging trees that hold
+// exclusive slots only (window trees) adds no inclusive ones. When both
+// trees share one interner — per-thread shards of the same session — src
+// node IDs are reused directly instead of re-interning every frame.
 func (t *Tree) Merge(other *Tree) {
 	// Remap other's metric IDs into t's schema.
 	remap := make([]MetricID, other.Schema.Len())
@@ -313,11 +347,14 @@ func (t *Tree) Merge(other *Tree) {
 	var rec func(dst, src *Node)
 	rec = func(dst, src *Node) {
 		size := t.Schema.Len()
-		dst.ensure(size)
+		grow(&dst.Excl, size)
 		for i, m := range src.Excl {
 			if !m.Empty() {
 				dst.Excl[remap[i]].Merge(m)
 			}
+		}
+		if len(src.Incl) > 0 {
+			grow(&dst.Incl, size)
 		}
 		for i, m := range src.Incl {
 			if !m.Empty() {
@@ -367,20 +404,15 @@ func (t *Tree) BottomUp() *Tree {
 		for _, f := range rev {
 			leaf = out.child(leaf, f)
 		}
-		// The full reversed chain carries the exclusive aggregate at
-		// its head (depth 1 node) via inclusive propagation.
+		// The full reversed chain carries the exclusive aggregate at its
+		// head (depth 1 node) through the derived inclusive ones.
+		grow(&leaf.Excl, out.Schema.Len())
 		for i, m := range n.Excl {
-			if m.Empty() {
-				continue
-			}
-			size := out.Schema.Len()
-			leaf.ensure(size)
-			leaf.Excl[MetricID(i)].Merge(m)
-			for cur := leaf; cur != nil; cur = cur.Parent {
-				cur.ensure(size)
-				cur.Incl[MetricID(i)].Merge(m)
+			if !m.Empty() {
+				leaf.Excl[i].Merge(m)
 			}
 		}
 	})
+	out.DeriveInclusive()
 	return out
 }

@@ -3,7 +3,7 @@
 // message in this encoding. Requests stay small JSON bodies and error
 // answers stay dcserver's {"error": ...}; only the bulk — partial trees,
 // aggregates, findings — travels here, written and read by plain
-// bounds-checked code over the primitives of package wire, which profdb v4
+// bounds-checked code over the primitives of package wire, which profdb
 // shares.
 //
 //	message  := magic uvarint(version) response
@@ -27,7 +27,7 @@
 //	str      := bytes
 //	float    := uvarint(byte-reversed IEEE-754 bits)
 //
-// A tree is its partial's profdb v4 database, verbatim — the bytes the
+// A tree is its partial's profdb v5 database, verbatim — the bytes the
 // answering series cached — and a decoded partial's Tree (like the set's
 // trend blob) aliases the message buffer: the coordinator plans each tree
 // once, as the fold visits it, straight from the bytes the peer sent.
@@ -57,9 +57,11 @@ const wireMagic = "DEEPCONTEXT-PEER"
 
 // WireVersion is the peer-wire version this node speaks. /healthz reports
 // it as peer_wire, so /cluster/status can tell a peer that answers but
-// speaks another version. Version 2 sends forwards to /cluster/ingest as
-// /ingest bodies (one v4 bundle); version 1 sent gob batches of v3 frames.
-const WireVersion = 2
+// speaks another version. Version 3 ships profdb v5 — partial trees,
+// handoff exports and forwards — which a version-2 node cannot read;
+// version 2 shipped v4 and sent forwards to /cluster/ingest as /ingest
+// bodies; version 1 sent gob batches of v3 frames.
+const WireVersion = 3
 
 var (
 	// ErrWireVersion reports a peer message in a wire version this node

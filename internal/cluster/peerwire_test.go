@@ -126,7 +126,8 @@ func TestPeerWireRejectsOtherVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := binary.AppendUvarint([]byte(wireMagic), WireVersion+1)
-	for name, msg := range map[string][]byte{"json": old, "next version": next, "empty": nil} {
+	v2 := binary.AppendUvarint([]byte(wireMagic), 2) // profdb v4 trees
+	for name, msg := range map[string][]byte{"json": old, "version 2": v2, "next version": next, "empty": nil} {
 		if _, err := DecodePartials(msg); !errors.Is(err, ErrWireVersion) {
 			t.Errorf("%s: err = %v, want ErrWireVersion", name, err)
 		}

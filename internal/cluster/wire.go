@@ -141,7 +141,7 @@ func IngestPlans(store *profstore.Store, ps *profdb.Plans, route func(profstore.
 	return sum, nil
 }
 
-// EncodeForward packs profiles into one forward body: the v4 bundle an
+// EncodeForward packs profiles into one forward body: the bundle an
 // /ingest body of those profiles would be, joined from each profile's
 // standalone database (a body of one profile is that database itself).
 func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
@@ -161,7 +161,7 @@ func EncodeForward(profs []*profiler.Profile) ([]byte, error) {
 }
 
 // ApplyForward ingests a forward body read from r, at most maxBytes (> 0)
-// long: one v4 database, planned whole (profdb.PlanBundleLimit) and applied
+// long: one database, planned whole (profdb.PlanBundleLimit) and applied
 // through IngestPlans, as /cluster/ingest does. Errors matching
 // profdb.ErrCorrupt or ErrTooLarge are the sender's fault; anything else is
 // this node failing to store.

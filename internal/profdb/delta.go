@@ -1,7 +1,8 @@
 // Profdb format version 3: streaming delta frames. Where a database
 // serializes whole profiles, a v3 stream frame carries either a full
-// single-profile database (the resync path) or only the subtrees whose metrics changed since the last
-// acknowledged upload, addressed through a per-session exact-frame
+// single-profile database (the resync path) or only the subtrees whose
+// exclusive metrics changed since the last acknowledged upload, addressed
+// through a per-session exact-frame
 // dictionary (cct.ExactInterner) so frame strings cross the wire once per
 // session. Deltas are guarded both ways: a frame names the checksum of the
 // base it was computed against (a desynced receiver fails with ErrStaleBase
@@ -93,22 +94,26 @@ type MetricEntry struct {
 }
 
 // DeltaNode is one emitted node: a changed node carries the sparse
-// updates to its exclusive/inclusive aggregates; an unchanged ancestor
-// rides along entry-less, purely to address its descendants (or, for a
-// new interior node, to exist — structure contributes to the checksum).
-// Parent indexes into the frame's Nodes slice; the root is always
-// Nodes[0] with Parent -1.
+// updates to its exclusive aggregates; an unchanged ancestor rides along
+// entry-less, purely to address its descendants (or, for a new interior
+// node, to exist — structure contributes to the checksum). Parent indexes
+// into the frame's Nodes slice; the root is always Nodes[0] with Parent
+// -1. Inclusive aggregates are not sent: they follow from the exclusive
+// ones, and a receiver that needs them derives them.
 type DeltaNode struct {
-	Parent     int32
-	Frame      cct.FrameID // session-dictionary ID
-	Excl, Incl []MetricEntry
+	Parent int32
+	Frame  cct.FrameID // session-dictionary ID
+	Excl   []MetricEntry
 }
 
 // Checksum fingerprints a profile's schema and tree — structure (preorder
-// with child counts), unification keys, and every non-empty aggregate. Two
-// profiles with equal checksums answer every store query identically;
-// metric-array padding and frame fields outside the unification key do not
-// contribute, so a materialized delta checks equal to the sender's tree.
+// with child counts), unification keys, and every non-empty exclusive
+// aggregate. Two profiles with equal checksums answer every store query
+// identically; metric-array padding, frame fields outside the unification
+// key and inclusive aggregates do not contribute, so a materialized delta
+// checks equal to the sender's tree. (A profiler's propagated Welford pair
+// can differ by rounding from one derived from the same exclusive slots,
+// so hashing inclusive slots would mark sound deltas stale.)
 func Checksum(p *profiler.Profile) uint64 {
 	h := newDigest()
 	names := p.Tree.Schema.Names()
@@ -121,7 +126,6 @@ func Checksum(p *profiler.Profile) uint64 {
 		h.frame(n.Frame)
 		h.uint(uint64(len(n.Children())))
 		h.metrics(n.Excl)
-		h.metrics(n.Incl)
 		for _, c := range n.Children() {
 			rec(c)
 		}
@@ -274,9 +278,9 @@ func (e *DeltaEncoder) EncodeDeltaFrom(base *profiler.Profile, baseSum uint64, c
 	// preorder-indexed slice (size = subtree node count) so pass 2 can
 	// skip unemitted subtrees without per-node map lookups.
 	type nodeMark struct {
-		emit       bool
-		size       int
-		excl, incl []MetricEntry
+		emit bool
+		size int
+		excl []MetricEntry
 	}
 	h := newDigest()
 	h.uint(uint64(len(curNames)))
@@ -295,11 +299,9 @@ func (e *DeltaEncoder) EncodeDeltaFrom(base *profiler.Profile, baseSum uint64, c
 			// changes the parent's child count, which the checksum sees.
 			m.emit = true
 			m.excl = diffEntries(nil, cn.Excl)
-			m.incl = diffEntries(nil, cn.Incl)
 		} else {
 			m.excl = diffEntries(bn.Excl, cn.Excl)
-			m.incl = diffEntries(bn.Incl, cn.Incl)
-			m.emit = len(m.excl) > 0 || len(m.incl) > 0
+			m.emit = len(m.excl) > 0
 		}
 		bc := []*cct.Node(nil)
 		if bn != nil {
@@ -309,7 +311,6 @@ func (e *DeltaEncoder) EncodeDeltaFrom(base *profiler.Profile, baseSum uint64, c
 		h.frame(cn.Frame)
 		h.uint(uint64(len(cc)))
 		h.metrics(cn.Excl)
-		h.metrics(cn.Incl)
 		if len(cc) < len(bc) {
 			ok = false
 			return false
@@ -374,7 +375,6 @@ func (e *DeltaEncoder) EncodeDeltaFrom(base *profiler.Profile, baseSum uint64, c
 			Parent: parent,
 			Frame:  e.dict.Intern(n.Frame),
 			Excl:   m.excl,
-			Incl:   m.incl,
 		})
 		for _, c := range n.Children() {
 			emit(c, self)
@@ -465,6 +465,8 @@ func (d *DeltaDecoder) AddFrames(f *StreamFrame) error {
 // delta frame it verifies position (epoch, sequence) and base checksum —
 // failing with ErrStaleBase before touching the cursor — then mutates
 // cur.Base in place into the new profile and verifies it reaches CurSum.
+// The materialized profile's tree holds exclusive aggregates only, like
+// DecodeBundle's.
 // Structurally invalid frames fail with ErrCorrupt. On any error after
 // materialization starts, the cursor is reset: the sender must resync with
 // a full upload.
@@ -519,10 +521,6 @@ func (d *DeltaDecoder) Apply(cur *SeriesCursor, f *StreamFrame) (*profiler.Profi
 		}
 		var err error
 		if nodes[i].Excl, err = applyEntries(nodes[i].Excl, dn.Excl, size); err != nil {
-			cur.Base, cur.Sum = nil, 0
-			return nil, fmt.Errorf("profdb: delta node %d: %w", i, err)
-		}
-		if nodes[i].Incl, err = applyEntries(nodes[i].Incl, dn.Incl, size); err != nil {
 			cur.Base, cur.Sum = nil, 0
 			return nil, fmt.Errorf("profdb: delta node %d: %w", i, err)
 		}

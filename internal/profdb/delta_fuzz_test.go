@@ -179,6 +179,9 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		if Checksum(got) != Checksum(cur) {
 			t.Fatal("materialized checksum differs")
 		}
+		// The materialized tree holds exclusive aggregates, the sender's
+		// propagated inclusive ones too: derive before comparing.
+		got.Tree.DeriveInclusive()
 		if err := cct.Equivalent(got.Tree, cur.Tree); err != nil {
 			t.Fatalf("materialized tree differs: %v", err)
 		}

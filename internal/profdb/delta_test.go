@@ -109,6 +109,9 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if Checksum(got) != Checksum(cur) {
 		t.Fatal("materialized checksum differs from sender's")
 	}
+	// The materialized tree holds exclusive aggregates, the sender's
+	// propagated inclusive ones too: derive before comparing.
+	got.Tree.DeriveInclusive()
 	if err := cct.Equivalent(got.Tree, cur.Tree); err != nil {
 		t.Fatalf("materialized tree differs: %v", err)
 	}
@@ -342,7 +345,7 @@ func TestDeltaApplyRejectsCorruptFrames(t *testing.T) {
 		}
 		var m cct.Metric
 		m.Add(1)
-		f.Nodes[1].Incl = append(f.Nodes[1].Incl, MetricEntry{Idx: -1, M: m})
+		f.Nodes[1].Excl = append(f.Nodes[1].Excl, MetricEntry{Idx: -1, M: m})
 		if _, err := dec.Apply(cursor, &f); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}

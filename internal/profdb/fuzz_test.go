@@ -14,7 +14,7 @@ import (
 )
 
 // fuzzSeeds builds the seed corpus from golden serializations: a single
-// profile, a multi-profile bundle, the legacy gob v2 fixture, plus the malformed
+// profile, a multi-profile bundle, the v4 and legacy gob v2 fixtures, plus the malformed
 // shapes a hostile /ingest body would take (truncation, wrong magic).
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
@@ -41,6 +41,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return [][]byte{
 		single.Bytes(),
 		bundle.Bytes(),
+		v4Fixture(tb),
 		legacy,
 		wrongMagic.Bytes(),
 		truncated,

@@ -1,6 +1,7 @@
 // The legacy reader: profdb format version 2, the gob encoding every binary
 // before v4 wrote. Nothing writes it any more; it stays readable so .dcp
-// files, WAL segments and snapshots from an older binary load in place.
+// files, WAL segments and snapshots from an older binary load in place,
+// upgraded to v5 bytes at the door.
 package profdb
 
 import (
@@ -53,7 +54,7 @@ func unflatten(ff *fileFormat) (*profiler.Profile, error) {
 	for _, name := range ff.Metrics {
 		tree.Schema.ID(name)
 	}
-	// The rules v4 records are held to: a slot per metric name at most, no
+	// The rules v5 records are held to: a slot per metric name at most, no
 	// name twice, no two siblings that unify.
 	if tree.Schema.Len() != len(ff.Metrics) {
 		return nil, fmt.Errorf("profdb: a metric name appears twice: %w", ErrCorrupt)
@@ -76,7 +77,6 @@ func unflatten(ff *fileFormat) (*profiler.Profile, error) {
 			}
 		}
 		nodes[i].Excl = fn.Excl
-		nodes[i].Incl = fn.Incl
 	}
 	return &profiler.Profile{
 		Tree:           tree,

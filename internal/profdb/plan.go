@@ -1,10 +1,10 @@
 // The served ingest path's view of a database: each profile planned for
 // merging instead of decoded into a tree. The record parser is the one
-// DecodeBundle uses (v4.go) with a cct.Plan as its sink, so the two accept
+// DecodeBundle uses (v5.go) with a cct.Plan as its sink, so the two accept
 // exactly the same databases; frames, their normalized addresses and the
-// metric slots go straight into the plan, which the store folds into a
-// window tree under its lock. A legacy gob body is upgraded to v4 bytes at
-// the door, like any other input.
+// exclusive metric slots go straight into the plan, which the store folds
+// into a window tree under its lock. A v4 or legacy gob body is upgraded
+// to v5 bytes at the door, like any other input.
 package profdb
 
 import (
@@ -23,17 +23,18 @@ type Planned struct {
 	Meta profiler.Meta
 	Plan *cct.Plan
 
-	// record is the validated v4 record the profile was planned from, and
+	// record is the validated record the profile was planned from, and
 	// body the whole database when that record was its only one.
 	record, body []byte
 }
 
-// Encoded returns the profile as a standalone single-profile v4 database
-// made of the very bytes it was planned from — the received body itself
-// when it held just this profile, otherwise a fresh header in front of the
+// Encoded returns the profile as a standalone single-profile database made
+// of the very bytes it was planned from — the received body itself when it
+// held just this profile, otherwise a fresh header in front of the
 // profile's record — so a server can log or forward what it validated
-// instead of encoding the profile again. A profile planned from a legacy
-// file returns its v4 encoding. The result may alias the planner's input.
+// instead of encoding the profile again. A profile planned from a v4 or
+// legacy file returns its v5 encoding. The result may alias the planner's
+// input.
 func (p *Planned) Encoded() []byte {
 	if p.body != nil {
 		return p.body

@@ -51,8 +51,9 @@ func refNormalize(t *cct.Tree) *cct.Tree {
 	return out
 }
 
-// treeBytes is a tree's v4 encoding: two trees are the same tree, float
-// bits and child order included, exactly when these bytes are equal.
+// treeBytes is a tree's v5 encoding: two trees hold the same structure and
+// exclusive aggregates, float bits and child order included, exactly when
+// these bytes are equal.
 func treeBytes(tb testing.TB, t *cct.Tree) []byte {
 	return saveBytes(tb, Entry{Profile: &profiler.Profile{Tree: t}})
 }
@@ -121,7 +122,7 @@ func TestPlanMergeEqualsReference(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			src := randPlanTree(rng)
 			body := saveBytes(t, Entry{Name: "p", Profile: &profiler.Profile{Tree: src, Meta: profiler.Meta{Workload: "w"}}})
-			decoded, err := Decode(body)
+			decoded, err := Load(bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,8 +172,8 @@ func TestNormalizeAddressesEqualsReference(t *testing.T) {
 	}
 }
 
-// A legacy gob body is upgraded to v4 at the door and planned like any
-// other: its Encoded form is the v4 encoding of its tree, name included.
+// A legacy gob body is upgraded to v5 at the door and planned like any
+// other: its Encoded form is the v5 encoding of its tree, name included.
 func TestPlanBundleLegacy(t *testing.T) {
 	legacy := legacyFixture(t)
 	entries, err := DecodeBundle(legacy)
@@ -194,7 +195,7 @@ func TestPlanBundleLegacy(t *testing.T) {
 		}
 		back, err := DecodeBundle(rec.Encoded())
 		if err != nil || back[0].Name != e.Name || Checksum(back[0].Profile) != Checksum(e.Profile) {
-			t.Fatalf("record %d: Encoded is not the profile's v4 encoding (%v)", i, err)
+			t.Fatalf("record %d: Encoded is not the profile's v5 encoding (%v)", i, err)
 		}
 		got, want := cct.New(), cct.New()
 		got.MergePlan(rec.Plan)
@@ -215,8 +216,7 @@ func slotNode(parent uint64, kind cct.FrameKind, name uint64, excl ...*float64) 
 		}
 	}
 	b := rawNode(parent, kind, name)
-	b = appendMetrics(b[:len(b)-2], ms) // replace the empty excl count
-	return append(b, 0)                 // incl: none
+	return appendMetrics(b[:len(b)-1], ms) // replace the empty excl count
 }
 
 func legacyFixture(tb testing.TB) []byte {
@@ -284,7 +284,7 @@ func FuzzPlanRecord(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !bytes.HasPrefix(data, []byte(FormatMagic)) {
+		if !hasMagic(data) {
 			data = append([]byte(FormatMagic), data...)
 		}
 		var ps *Plans
@@ -311,7 +311,7 @@ func FuzzPlanRecord(f *testing.F) {
 			if rec.Name != e.Name || rec.Meta != e.Profile.Meta {
 				t.Fatalf("record %d: name or meta differ from the decoder's", i)
 			}
-			if back, err := Decode(rec.Encoded()); err != nil || equivalentBits(e.Profile.Tree, back.Tree) != nil {
+			if back, err := DecodeBundle(rec.Encoded()); err != nil || equivalentBits(e.Profile.Tree, back[0].Profile.Tree) != nil {
 				t.Fatalf("record %d: its received bytes do not decode back to it (%v)", i, err)
 			}
 			got, want := cct.New(), cct.New()

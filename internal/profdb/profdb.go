@@ -4,14 +4,18 @@
 // proportional to distinct calling contexts, not to run length — the
 // property behind the paper's disk/memory savings versus trace files.
 //
-// The format is versioned by its leading magic. Version 4 (v4.go) is the
+// The format is versioned by its leading magic. Version 5 (v5.go) is the
 // only one written: a hand-rolled, length-prefixed multi-profile container
 // holding any number of named profiles (per-shard results of a batch run, a
-// before/after pair, or a single profile, the common case). One parser
-// reads it, into trees (DecodeBundle and the loaders) or into merge plans
-// (PlanBundle, plan.go). Version 3 (delta.go) frames streaming sessions.
-// Version 2, the gob encoding older binaries wrote, is still read
-// (legacy.go), upgraded to v4 bytes at the door, so existing files, WAL
+// before/after pair, or a single profile, the common case), each node with
+// its exclusive metric slots only. One parser reads it into trees
+// (DecodeBundle and the loaders) or into merge plans (PlanBundle, plan.go).
+// DecodeBundle's trees hold exclusive slots, as stored; the loaders (Load,
+// LoadBundle and their variants) derive the inclusive ones, so a loaded
+// profile is complete. Version 3 (delta.go) frames streaming sessions.
+// Older databases are upgraded to v5 bytes at the door: version 4, which
+// also stored inclusive slots, by the same parser, and version 2, the gob
+// encoding older binaries wrote, by legacy.go. So existing files, WAL
 // segments and snapshots keep loading; version 1 is no longer understood.
 package profdb
 
@@ -32,7 +36,11 @@ import (
 
 // FormatMagic identifies the current database format; the trailing number
 // is the format version.
-const FormatMagic = "DEEPCONTEXT-PROFDB-4"
+const FormatMagic = "DEEPCONTEXT-PROFDB-5"
+
+// formatMagicV4 identifies a v4 database, still read. It is as long as
+// FormatMagic, so a database's records start at the same offset in both.
+const formatMagicV4 = "DEEPCONTEXT-PROFDB-4"
 
 // DefaultMaxBytes caps how much Load/LoadBundle will read (256 MiB). A
 // malformed or hostile input — an HTTP ingest body, a truncated upload —
@@ -56,7 +64,7 @@ type Entry struct {
 	Profile *profiler.Profile
 }
 
-// JoinBundles returns the v4 databases dbs as one database holding all of
+// JoinBundles returns the v5 databases dbs as one database holding all of
 // their records, in order. It reads each input's header — the magic and a
 // record count of at least one — and nothing past it: the records are
 // copied as they are, to be validated by whoever reads the result. A
@@ -69,7 +77,7 @@ func JoinBundles(dbs [][]byte) ([]byte, error) {
 	for i, db := range dbs {
 		r := wire.NewReader(db, len(FormatMagic), ErrCorrupt)
 		if !bytes.HasPrefix(db, []byte(FormatMagic)) {
-			r.Fail("not a v4 database")
+			r.Fail("not a v5 database")
 		} else if c := r.Count("profiles", minRecordBytes); r.Err() == nil && c == 0 {
 			r.Fail("no profiles")
 		} else {
@@ -102,7 +110,7 @@ func SaveBundle(w io.Writer, entries []Entry) error {
 }
 
 // LoadBundle reads every profile of a database, refusing inputs larger than
-// DefaultMaxBytes.
+// DefaultMaxBytes. Each tree's inclusive aggregates are derived.
 func LoadBundle(r io.Reader) ([]Entry, error) {
 	return LoadBundleLimit(r, DefaultMaxBytes)
 }
@@ -130,7 +138,17 @@ func LoadBundleLimit(r io.Reader, maxBytes int64) ([]Entry, error) {
 	if _, err := buf.ReadFrom(io.LimitReader(r, limit)); err != nil {
 		return nil, fmt.Errorf("profdb: read: %w", err)
 	}
-	return DecodeBundleLimit(buf.Bytes(), maxBytes)
+	entries, err := DecodeBundleLimit(buf.Bytes(), maxBytes)
+	return derived(entries), err
+}
+
+// derived derives the inclusive aggregates of every entry's tree, the step
+// that turns stored profiles into loaded ones, and returns entries.
+func derived(entries []Entry) []Entry {
+	for _, e := range entries {
+		e.Profile.Tree.DeriveInclusive()
+	}
+	return entries
 }
 
 // DecodeBundleLimit is DecodeBundle behind the same size cap as
@@ -153,17 +171,28 @@ func checkLimit(data []byte, maxBytes int64) error {
 	return nil
 }
 
-// DecodeBundle decodes every profile of a database already in memory: v4,
-// or the legacy gob v2 encoding upgraded at the door (see upgrade). It
-// accepts exactly what PlanBundle accepts; failures match ErrCorrupt.
+// DecodeBundle decodes every profile of a database already in memory: v5,
+// v4 (its inclusive slots skipped), or the legacy gob v2 encoding upgraded
+// at the door (see upgrade). Its trees hold exclusive aggregates only, as
+// stored: the loaders derive the inclusive ones. It accepts exactly what
+// PlanBundle accepts; failures match ErrCorrupt.
 func DecodeBundle(data []byte) ([]Entry, error) {
-	data, err := upgrade(data)
-	if err != nil {
-		return nil, err
+	v4 := bytes.HasPrefix(data, []byte(formatMagicV4))
+	if !v4 {
+		var err error
+		if data, err = upgrade(data); err != nil {
+			return nil, err
+		}
 	}
+	return decodeRecords(data, v4)
+}
+
+// decodeRecords reads the records of a v5 database, or of a v4 one when
+// v4 is set, into trees.
+func decodeRecords(data []byte, v4 bool) ([]Entry, error) {
 	var out []Entry
-	var rr recordReader
-	err = eachRecord(data, func(rec []byte) error {
+	rr := recordReader{v4: v4}
+	err := eachRecord(data, func(rec []byte) error {
 		p := &profiler.Profile{Tree: cct.New()}
 		name, err := rr.record(rec, p, true, &treeBuilder{tree: p.Tree, rr: &rr})
 		out = append(out, Entry{Name: name, Profile: p})
@@ -175,26 +204,24 @@ func DecodeBundle(data []byte) ([]Entry, error) {
 	return out, nil
 }
 
-// upgrade returns data as a v4 database: itself, or a legacy gob v2
-// database decoded and encoded again, so that one parser reads both.
+// upgrade returns data as a v5 database: itself, or a v4 or legacy gob v2
+// database decoded and encoded again as v5, so that past the door the one
+// parser and everything after it see v5 only.
 func upgrade(data []byte) ([]byte, error) {
-	if bytes.HasPrefix(data, []byte(FormatMagic)) {
+	var entries []Entry
+	var err error
+	switch {
+	case bytes.HasPrefix(data, []byte(FormatMagic)):
 		return data, nil
+	case bytes.HasPrefix(data, []byte(formatMagicV4)):
+		entries, err = decodeRecords(data, true)
+	default:
+		entries, err = decodeLegacy(data)
 	}
-	entries, err := decodeLegacy(data)
 	if err != nil {
 		return nil, err
 	}
 	return EncodeBundle(entries)
-}
-
-// Decode returns the first profile of a database already in memory.
-func Decode(data []byte) (*profiler.Profile, error) {
-	entries, err := DecodeBundle(data)
-	if err != nil {
-		return nil, err
-	}
-	return entries[0].Profile, nil
 }
 
 // Save writes p to w as a single-profile database.
@@ -245,15 +272,17 @@ func LoadFile(path string) (*profiler.Profile, error) {
 	return entries[0].Profile, nil
 }
 
-// LoadBundleFile reads every profile from path. The size cap exists for
-// network boundaries (servers pass their own limit); a database already on
-// disk — a large batch-matrix aggregate, say — loads whatever its size.
+// LoadBundleFile reads every profile from path, each tree's inclusive
+// aggregates derived. The size cap exists for network boundaries (servers
+// pass their own limit); a database already on disk — a large batch-matrix
+// aggregate, say — loads whatever its size.
 func LoadBundleFile(path string) ([]Entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeBundle(data)
+	entries, err := DecodeBundle(data)
+	return derived(entries), err
 }
 
 // jsonNode is the nested JSON export shape.

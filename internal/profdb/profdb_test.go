@@ -145,8 +145,9 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 // JoinBundles is byte-equal to encoding the joined profiles as one
-// bundle, returns a single input itself, and refuses an input whose header
-// is not a v4 database with profiles.
+// bundle, returns a single input itself, joins v4 databases as v4, and
+// refuses an input whose header is not a database with profiles of the
+// first input's version.
 func TestJoinBundles(t *testing.T) {
 	a := sampleProfile()
 	b := sampleProfile()
@@ -175,9 +176,15 @@ func TestJoinBundles(t *testing.T) {
 	if one, err := JoinBundles([][]byte{cdb}); err != nil || &one[0] != &cdb[0] {
 		t.Fatalf("a single input was not returned itself (err %v)", err)
 	}
+	// v4 inputs are upgraded to v5 by whoever reads them (PlanBundle,
+	// DecodeBundle) before they could reach a join, so a join takes v5 only.
+	v4 := v4Fixture(t)
 	for name, bad := range map[string][][]byte{
 		"no inputs":      nil,
-		"not v4":         {ab, []byte("definitely not a profile")},
+		"v5 then v4":     {ab, v4},
+		"v4 then v5":     {v4, cdb},
+		"v4 and v4":      {v4, v4},
+		"not a database": {ab, []byte("definitely not a profile")},
 		"no profiles":    {ab, []byte(FormatMagic + "\x00")},
 		"hostile count":  {ab, []byte(FormatMagic + "\x7f")},
 		"truncated head": {[]byte(FormatMagic)},
@@ -251,17 +258,83 @@ func TestLoadLegacyV2Fixture(t *testing.T) {
 	if entries[0].Profile.Meta != want.Meta || entries[1].Profile.Meta.Workload != "dlrm" {
 		t.Fatalf("v2 meta = %+v / %+v", entries[0].Profile.Meta, entries[1].Profile.Meta)
 	}
-	// A legacy file re-saves as v4 and survives.
+	// A legacy file re-saves as v5 and survives.
 	var buf bytes.Buffer
 	if err := SaveBundle(&buf, entries); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), []byte(FormatMagic)) {
-		t.Fatal("re-save did not write v4")
+		t.Fatal("re-save did not write v5")
 	}
 	again, err := LoadBundle(&buf)
 	if err != nil || len(again) != 2 || cct.Equivalent(want.Tree, again[1].Profile.Tree) != nil {
 		t.Fatalf("re-saved legacy bundle: %v, %d entries", err, len(again))
+	}
+}
+
+func v4Fixture(tb testing.TB) []byte {
+	b, err := os.ReadFile(filepath.Join("testdata", "v4.dcp"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// hasMagic reports whether data begins with the v5 or the v4 magic.
+func hasMagic(data []byte) bool {
+	return bytes.HasPrefix(data, []byte(FormatMagic)) || bytes.HasPrefix(data, []byte(formatMagicV4))
+}
+
+func decodeAll(tb testing.TB, data []byte) []Entry {
+	entries, err := DecodeBundle(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return entries
+}
+
+// The committed fixture was written by the last release whose writer was
+// v4, which stored inclusive slots too. It loads to the profile it was
+// written from, its inclusive aggregates derived, and re-saves as v5,
+// without them.
+func TestLoadV4Fixture(t *testing.T) {
+	data := v4Fixture(t)
+	entries, err := LoadBundle(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("v4 load: %v", err)
+	}
+	if len(entries) != 2 || entries[0].Name != "unet/nvidia/pytorch" || entries[1].Name != "dlrm/nvidia/pytorch" {
+		t.Fatalf("v4 entries = %+v", entries)
+	}
+	want := sampleProfile()
+	for i, e := range entries {
+		if err := cct.Equivalent(want.Tree, e.Profile.Tree); err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		if Checksum(e.Profile) != Checksum(want) {
+			t.Fatalf("entry %d: checksum differs from the profile the fixture was written from", i)
+		}
+		if !reflect.DeepEqual(e.Profile.Fused, want.Fused) || e.Profile.FootprintBytes != want.FootprintBytes {
+			t.Fatalf("entry %d: fused/footprint lost: %+v", i, e.Profile)
+		}
+	}
+	resaved := saveBytes(t, entries...)
+	if !bytes.HasPrefix(resaved, []byte(FormatMagic)) || len(resaved) >= len(data) {
+		t.Fatalf("re-save wrote %d bytes under %q; want v5, smaller than the %d v4 bytes", len(resaved), resaved[:len(FormatMagic)], len(data))
+	}
+	ps, err := PlanBundle(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Release()
+	for i := range ps.Records {
+		enc := ps.Records[i].Encoded()
+		if !bytes.Equal(enc, saveBytes(t, entries[i])) {
+			t.Fatalf("record %d of a v4 bundle is not handed on as its v5 encoding", i)
+		}
+		if back := decodeAll(t, enc); Checksum(back[0].Profile) != Checksum(want) {
+			t.Fatalf("record %d: its standalone form decodes to another profile", i)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -23,7 +25,7 @@ func saveBytes(tb testing.TB, entries ...Entry) []byte {
 }
 
 // gob wrote map fields in map iteration order, so two encodings of one
-// profile differed; v4 is a pure function of the profile.
+// profile differed; v5, like v4, is a pure function of the profile.
 func TestSaveIsDeterministic(t *testing.T) {
 	p := sampleProfile()
 	for _, k := range []string{"fusion_b", "fusion_a", "fusion_z", "fusion_m", "fusion_c"} {
@@ -37,7 +39,7 @@ func TestSaveIsDeterministic(t *testing.T) {
 	}
 	// Decoding and encoding again reproduces the bytes: nothing is lost or
 	// reordered on the way through.
-	got, err := Decode(first)
+	got, err := Load(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +92,7 @@ func TestEntryEncodedIsTheReceivedBytes(t *testing.T) {
 // Metric arrays are carved from shared blocks; growing one (the delta
 // decoder appends to them) must not reach into its neighbour.
 func TestDecodedMetricArraysDoNotAlias(t *testing.T) {
-	p, err := Decode(saveBytes(t, Entry{Profile: sampleProfile()}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := decodeAll(t, saveBytes(t, Entry{Profile: sampleProfile()}))[0].Profile
 	want := Checksum(p)
 	p.Tree.Visit(func(n *cct.Node) {
 		if len(n.Excl) != cap(n.Excl) || len(n.Incl) != cap(n.Incl) {
@@ -108,14 +107,22 @@ func TestDecodedMetricArraysDoNotAlias(t *testing.T) {
 
 // Hand-assembled records, so each structural rule can be broken alone.
 
+// rawNode is a v5 node; append a slot count to it (0 for none) for a v4
+// node's inclusive section.
 func rawNode(parent uint64, kind cct.FrameKind, name uint64, slots ...byte) []byte {
 	b := binary.AppendUvarint(nil, parent)
 	b = append(b, byte(kind))
 	b = binary.AppendUvarint(b, name) // name
 	b = append(b, 0, 0, 0, 0)         // file "", line 0, lib "", pc 0
 	b = binary.AppendUvarint(b, uint64(len(slots)))
-	b = append(b, slots...) // excl: only empty (0) or invalid markers fit in one byte
-	return append(b, 0)     // incl: none
+	return append(b, slots...) // excl: only empty (0) or invalid markers fit in one byte
+}
+
+// v4Node is rawNode as a v4 node with the given inclusive slots.
+func v4Node(parent uint64, kind cct.FrameKind, name uint64, excl, incl []byte) []byte {
+	b := rawNode(parent, kind, name, excl...)
+	b = binary.AppendUvarint(b, uint64(len(incl)))
+	return append(b, incl...)
 }
 
 func rawRecord(nodes ...[]byte) []byte {
@@ -130,8 +137,10 @@ func rawRecord(nodes ...[]byte) []byte {
 	return b
 }
 
-func rawDatabase(records ...[]byte) []byte {
-	b := appendHeader(nil, len(records))
+func rawDatabase(records ...[]byte) []byte { return rawDatabaseAs(FormatMagic, records...) }
+
+func rawDatabaseAs(magic string, records ...[]byte) []byte {
+	b := binary.AppendUvarint([]byte(magic), uint64(len(records)))
 	for _, r := range records {
 		b = binary.AppendUvarint(b, uint64(len(r)))
 		b = append(b, r...)
@@ -152,6 +161,17 @@ func TestV4StructuralValidation(t *testing.T) {
 	}
 	if n := len(entries[0].Profile.Tree.Root.Excl); n != 1 {
 		t.Fatalf("an empty metric slot was not preserved: len(Excl) = %d", n)
+	}
+	// The same record as v4, each node with an inclusive section, reads to
+	// the same tree: the inclusive slots are validated and dropped.
+	v4 := rawDatabaseAs(formatMagicV4, rawRecord(
+		v4Node(0, cct.KindRoot, 0, []byte{0}, []byte{0}), v4Node(1, cct.KindOperator, 1, nil, nil), v4Node(2, cct.KindOperator, 1, nil, []byte{0})))
+	old, err := DecodeBundle(v4)
+	if err != nil {
+		t.Fatalf("hand-assembled v4 baseline rejected: %v", err)
+	}
+	if !bytes.Equal(saveBytes(t, old...), saveBytes(t, entries...)) {
+		t.Fatal("the v4 record reads to another tree than the v5 one")
 	}
 
 	huge := binary.AppendUvarint(nil, 1<<40)
@@ -177,6 +197,13 @@ func TestV4StructuralValidation(t *testing.T) {
 		"overlong varint":       rawDatabase(bytes.Repeat([]byte{0xff}, 40)),
 		"non-minimal varint":    nonMinimalVarint(),
 		"magic only":            []byte(FormatMagic),
+		// A v4 node behind the v5 magic: its inclusive section is read as
+		// trailing bytes or as the next node, and either way refused.
+		"v5 root with an inclusive section":  rawDatabase(rawRecord(v4Node(0, cct.KindRoot, 0, []byte{0}, []byte{0}))),
+		"v5 nodes with inclusive sections":   rawDatabase(rawRecord(v4Node(0, cct.KindRoot, 0, []byte{0}, nil), v4Node(1, cct.KindOperator, 1, nil, nil))),
+		"v4 node without its inclusive part": rawDatabaseAs(formatMagicV4, rawRecord(root)),
+		"v4 inclusive slot marker":           rawDatabaseAs(formatMagicV4, rawRecord(v4Node(0, cct.KindRoot, 0, []byte{0}, []byte{7}))),
+		"v4 inclusive slot count":            rawDatabaseAs(formatMagicV4, rawRecord(v4Node(0, cct.KindRoot, 0, []byte{0}, []byte{0, 0}))),
 	} {
 		if _, err := DecodeBundle(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
@@ -223,13 +250,24 @@ func nonMinimalVarint() []byte {
 	return rawDatabase(rec)
 }
 
+// fuzzSeedsV4 are the parser's seeds: v5 databases as the writer makes
+// them, the committed v4 fixture, and hostile or malformed records of both
+// versions.
 func fuzzSeedsV4(tb testing.TB) [][]byte {
 	single := saveBytes(tb, Entry{Profile: sampleProfile()})
 	flipped := append([]byte(nil), single...)
 	flipped[len(flipped)/2] ^= 0x10
 	root := rawNode(0, cct.KindRoot, 0, 0)
 	huge := binary.AppendUvarint(nil, 1<<40)
+	v4, err := os.ReadFile(filepath.Join("testdata", "v4.dcp"))
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return [][]byte{
+		v4,
+		v4[:len(v4)/2],
+		rawDatabaseAs(formatMagicV4, rawRecord(v4Node(0, cct.KindRoot, 0, []byte{0}, []byte{0}), v4Node(1, cct.KindOperator, 1, nil, nil))),
+		rawDatabase(rawRecord(v4Node(0, cct.KindRoot, 0, []byte{0}, []byte{0}))), // a v5 node with an inclusive section
 		single,
 		saveBytes(tb, Entry{Name: "a", Profile: sampleProfile()}, Entry{Name: "b", Profile: sampleProfile()}),
 		single[:len(single)/2],
@@ -258,8 +296,8 @@ func heapDelta(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzLoadV4 asserts the v4 decoder's contract over arbitrary bytes behind
-// the magic: it never panics, it never allocates more than a small multiple
+// FuzzLoadV4 asserts the record parser's contract over arbitrary bytes
+// behind a v5 or v4 magic (v5 when the input has neither): it never panics, it never allocates more than a small multiple
 // of the input (hostile counts and lengths are checked against the bytes
 // remaining before anything is sized from them), and whatever it accepts
 // re-encodes to a database that decodes to an equivalent profile.
@@ -268,7 +306,7 @@ func FuzzLoadV4(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !bytes.HasPrefix(data, []byte(FormatMagic)) {
+		if !hasMagic(data) {
 			data = append([]byte(FormatMagic), data...)
 		}
 		var entries []Entry

@@ -1,4 +1,4 @@
-// Profdb format version 4: the hand-written binary database. Everything
+// Profdb format version 5: the hand-written binary database. Everything
 // that stores or ships a whole profile — .dcp files, /ingest bodies, WAL
 // records, snapshot window bundles, full stream frames, forwards and
 // partials between nodes — is this one encoding, written and read by plain
@@ -14,11 +14,18 @@
 //	            uvarint(nStrings) { str }
 //	            uvarint(nNodes) { node }
 //	node     := uvarint(parent+1) byte(kind) uvarint(name) uvarint(file) varint(line) uvarint(lib) uvarint(pc)
-//	            uvarint(nExcl) { slot } uvarint(nIncl) { slot }
+//	            uvarint(nExcl) { slot }
 //	slot     := 0x00 | 0x01 float(sum) float(min) float(max) varint(count) float(mean) float(m2)
 //	str      := uvarint(len) bytes
 //	float    := uvarint(byte-reversed IEEE-754 bits)
 //	uvarint  := minimal base-128 varint; varint := zigzag uvarint
+//
+// A node carries its exclusive slots only. Its inclusive aggregates are a
+// pure function of the exclusive ones below it, so a reader that needs them
+// derives them (cct.Tree.DeriveInclusive) instead of decoding a stored copy.
+// Version 4 is the same grammar with magic DEEPCONTEXT-PROFDB-4 and a node
+// that ends in uvarint(nIncl) { slot } as well; it is still read, and its
+// inclusive slots are validated and skipped. Only v5 is written.
 //
 // A record is self-contained: its frame strings live in its own string
 // table (name, file and lib are table indices, in first-use order), so one
@@ -45,10 +52,10 @@ import (
 )
 
 // minNodeBytes is the smallest encoded node: parent, kind, three string
-// indices, line, pc and two slot counts, one byte each. Counts read off the
-// wire are checked against the bytes that remain at these minimum sizes
-// before anything is allocated for them.
-const minNodeBytes = 9
+// indices, line, pc and a slot count, one byte each (a v4 node has one
+// more). Counts read off the wire are checked against the bytes that
+// remain at these minimum sizes before anything is allocated for them.
+const minNodeBytes = 8
 
 // minRecordBytes is a lower bound on one length-prefixed record: six
 // strings, sixteen numbers, four counts and a root node.
@@ -106,8 +113,7 @@ func (e *encoder) node(n *cct.Node, parent uint64) {
 	b = binary.AppendVarint(b, int64(n.Line))
 	b = binary.AppendUvarint(b, e.ref(n.Lib))
 	b = binary.AppendUvarint(b, n.PC)
-	b = appendMetrics(b, n.Excl)
-	e.nodes = appendMetrics(b, n.Incl)
+	e.nodes = appendMetrics(b, n.Excl)
 	for _, c := range n.Children() {
 		e.node(c, self)
 	}
@@ -175,7 +181,7 @@ func statsFields(s *profiler.Stats, m *dlmonitor.Stats) [14]*int64 {
 	}
 }
 
-// appendHeader starts a database of n records.
+// appendHeader starts a v5 database of n records.
 func appendHeader(b []byte, n int) []byte {
 	b = append(b, FormatMagic...)
 	return binary.AppendUvarint(b, uint64(n))
@@ -211,10 +217,10 @@ func EncodeBundle(entries []Entry) ([]byte, error) {
 	return out, nil
 }
 
-// eachRecord walks a v4 database (data begins with FormatMagic), handing
-// each record's bytes to visit in order, and checks the framing around
-// them: at least one record, each inside the database, nothing after the
-// last.
+// eachRecord walks a v5 or v4 database (the two magics are the same
+// length), handing each record's bytes to visit in order, and checks the
+// framing around them: at least one record, each inside the database,
+// nothing after the last.
 func eachRecord(data []byte, visit func(rec []byte) error) error {
 	r := wire.NewReader(data, len(FormatMagic), ErrCorrupt)
 	n := r.Count("profiles", minRecordBytes)
@@ -242,16 +248,21 @@ func eachRecord(data []byte, visit func(rec []byte) error) error {
 type nodeSink interface {
 	AddName(name string) error
 	Slots(n int) []cct.Metric
-	Add(parent int, f cct.Frame, excl, incl []cct.Metric) error
+	Add(parent int, f cct.Frame, excl []cct.Metric) error
 }
 
-// recordReader is the one v4 record parser: a single bounds-checked pass
-// validates a record and feeds it to a nodeSink. Every string ahead of the
-// nodes — name, metadata, metric names, the frame string table — comes
-// from one allocation: those bytes become one Go string, and the strings
-// are slices of it. Its scratch is reused from record to record.
+// recordReader is the one record parser, for v5 and v4 alike: a single
+// bounds-checked pass validates a record and feeds it to a nodeSink.
+// Every string ahead of the nodes — name, metadata, metric names, the
+// frame string table — comes from one allocation: those bytes become one
+// Go string, and the strings are slices of it. Its scratch is reused from
+// record to record.
 type recordReader struct {
 	wire.Reader
+	// v4 is set while reading v4 records, whose nodes end in inclusive
+	// slots: they are validated into skip and dropped.
+	v4    bool
+	skip  []cct.Metric
 	spans [][2]int
 	table []string
 	nodes int // node count of the record being read
@@ -311,12 +322,17 @@ func (rr *recordReader) record(rec []byte, p *profiler.Profile, fused bool, s no
 		parent := rr.Uvarint()
 		f := cct.Frame{Kind: cct.FrameKind(rr.Byte())}
 		f.Name, f.File, f.Line, f.Lib, f.PC = rr.ref(), rr.ref(), int(rr.Varint()), rr.ref(), rr.Uvarint()
-		excl := rr.slots(s, names)
-		incl := rr.slots(s, names)
+		excl := rr.slots(s.Slots(rr.slotCount(names)))
+		if rr.v4 {
+			n := rr.slotCount(names)
+			rr.skip = slices.Grow(rr.skip[:0], n)[:n]
+			clear(rr.skip)
+			rr.slots(rr.skip)
+		}
 		if rr.checkNode(i, parent, f.Kind); rr.Err() != nil {
 			break
 		}
-		if err := s.Add(int(parent)-1, f, excl, incl); err != nil {
+		if err := s.Add(int(parent)-1, f, excl); err != nil {
 			rr.Fail("%v", err)
 			break
 		}
@@ -380,18 +396,21 @@ func (rr *recordReader) fused(keep bool) map[string][]framework.FusedOrigin {
 	return out
 }
 
-// slots reads a node's metric slot count — a slot beyond the record's
-// metric names would measure no metric, so names bounds it — and decodes
-// that many slots into a buffer from s. Six numbers per slot over thousands
-// of slots is where parsing spends its time, so the loop reads the bytes
-// directly.
-func (rr *recordReader) slots(s nodeSink, names int) []cct.Metric {
+// slotCount reads a node's metric slot count: a slot beyond the record's
+// metric names would measure no metric, so names bounds it.
+func (rr *recordReader) slotCount(names int) int {
 	n := rr.Count("metric slots", 1)
 	if n > names {
 		rr.Fail("%d metric slots for %d metric names before byte %d", n, names, rr.Offset())
-		return nil
+		return 0
 	}
-	ms := s.Slots(n)
+	return n
+}
+
+// slots decodes len(ms) slots into ms, which must be zeroed, and returns
+// it. Six numbers per slot over thousands of slots is where parsing spends
+// its time, so the loop reads the bytes directly.
+func (rr *recordReader) slots(ms []cct.Metric) []cct.Metric {
 	b, off := rr.Rest(), 0
 	for i := range ms {
 		if off >= len(b) {
@@ -438,7 +457,8 @@ func (rr *recordReader) checkNode(i int, parent uint64, kind cct.FrameKind) {
 	}
 }
 
-// treeBuilder is the sink that builds a record's tree, for DecodeBundle.
+// treeBuilder is the sink that builds a record's tree, for DecodeBundle:
+// exclusive slots only, as stored.
 type treeBuilder struct {
 	tree  *cct.Tree
 	rr    *recordReader
@@ -456,7 +476,7 @@ func (b *treeBuilder) AddName(name string) error {
 
 func (b *treeBuilder) Slots(n int) []cct.Metric { return b.slab.take(n, b.rr.Remaining()) }
 
-func (b *treeBuilder) Add(parent int, f cct.Frame, excl, incl []cct.Metric) error {
+func (b *treeBuilder) Add(parent int, f cct.Frame, excl []cct.Metric) error {
 	n := b.tree.Root
 	if b.nodes == nil {
 		b.nodes = make([]*cct.Node, 0, b.rr.nodes)
@@ -469,13 +489,13 @@ func (b *treeBuilder) Add(parent int, f cct.Frame, excl, incl []cct.Metric) erro
 			return fmt.Errorf("node %d unifies with an earlier sibling", len(b.nodes))
 		}
 	}
-	n.Excl, n.Incl = excl, incl
+	n.Excl = excl
 	b.nodes = append(b.nodes, n)
 	return nil
 }
 
 // metricSlab hands out metric arrays carved from shared blocks, so a
-// decoded tree costs a handful of allocations instead of two per node.
+// decoded tree costs a handful of allocations instead of one per node.
 // Arrays are capacity-limited to their length: appending to one (the delta
 // decoder grows them) reallocates instead of running into its neighbour.
 type metricSlab struct{ free []cct.Metric }

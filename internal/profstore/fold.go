@@ -156,13 +156,16 @@ func foldRange(walk walkFunc, from, to time.Time, filter Labels, add func(foldIt
 }
 
 // foldTree merges every walked tree into one fresh tree: the aggregate
-// behind Aggregate, Hotspots, /flame and /analyze.
+// behind Aggregate, Hotspots, /flame and /analyze. Window trees hold
+// exclusive aggregates only; the result's inclusive ones are derived once
+// the fold is done.
 func foldTree(walk walkFunc, from, to time.Time, filter Labels) (*cct.Tree, AggregateInfo, error) {
 	out := cct.New()
 	info, err := foldRange(walk, from, to, filter, func(it foldItem) { it.mergeInto(out) })
 	if err != nil {
 		return nil, info, err
 	}
+	out.DeriveInclusive()
 	return out, info, nil
 }
 
@@ -218,7 +221,8 @@ func (d *diffSide) resolve() (winKey, bool) {
 }
 
 // foldDiffSide merges the resolved bucket's matched series into a fresh
-// tree. Unlike a range fold it reads exactly one bucket — a coarse
+// tree, its inclusive aggregates derived. Unlike a range fold it reads
+// exactly one bucket — a coarse
 // fallback must not sweep in fine windows sharing its range. The caller
 // prefixes errors with the side's name.
 func foldDiffSide(d *diffSide, t time.Time, filter Labels) (*cct.Tree, error) {
@@ -244,6 +248,7 @@ func foldDiffSide(d *diffSide, t time.Time, filter Labels) (*cct.Tree, error) {
 		return nil, fmt.Errorf("no series match %s in window %v: %w",
 			filter.Key(), time.Unix(0, key.start).UTC(), ErrNoData)
 	}
+	out.DeriveInclusive()
 	return out, nil
 }
 

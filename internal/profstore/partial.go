@@ -12,7 +12,7 @@ package profstore
 // therefore answers byte-identical to one node holding the same data, which
 // the multi-node equivalence matrix pins.
 //
-// A partial's tree is its profdb v4 database. A series encodes it once and
+// A partial's tree is its profdb v5 database. A series encodes it once and
 // keeps the bytes until its tree next changes (series.encoded), so
 // repeated queries over closed windows re-encode nothing. Between nodes,
 // partials travel in internal/cluster's binary peer wire, which carries

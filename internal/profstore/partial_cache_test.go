@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -409,4 +410,150 @@ func TestFoldPartialsAllocsFlatInNodes(t *testing.T) {
 				paths, many, few, extra, 24*perPartial)
 		}
 	}
+}
+
+// assertNoInclusive fails when any node of any window tree, in either
+// tier, holds inclusive slots, and returns how many series it checked.
+func assertNoInclusive(t *testing.T, s *Store, when string) int {
+	t.Helper()
+	s.rlockAll()
+	defer s.runlockAll()
+	checked := 0
+	for _, sh := range s.shards {
+		for _, coarse := range []bool{false, true} {
+			for start, w := range sh.tier(coarse) {
+				for key, ser := range w.series {
+					checked++
+					ser.tree.Visit(func(n *cct.Node) {
+						if len(n.Incl) != 0 {
+							t.Fatalf("%s: series %s@%d (coarse %v) node %s holds %d inclusive slots", when, key, start, coarse, n.Label(), len(n.Incl))
+						}
+					})
+				}
+			}
+		}
+	}
+	return checked
+}
+
+// TestWindowTreesHoldNoInclusive pins where inclusive aggregates live:
+// only in what a reader derives. Window trees hold exclusive slots after
+// every way a series tree is built or mutated — ingest from a tree and
+// from bytes, late data into a closed window, compaction into coarse, a
+// handoff import, recovery from a snapshot plus the WAL, and a delta
+// stream session's materialized profiles landed the way /stream lands
+// them (each encoded standalone, planned from those bytes) — while the
+// answers built from them still carry derived inclusive totals.
+func TestWindowTreesHoldNoInclusive(t *testing.T) {
+	dir := t.TempDir()
+	clock := newClock(base)
+	cfg := Config{Window: time.Minute, Retention: 2, CoarseFactor: 3, CoarseRetention: 4, Now: clock.Now, Dir: dir}
+	s := New(cfg)
+	defer func() { s.Close() }()
+	nv := func(w string, pc uint64, scale float64) *profiler.Profile {
+		return synthProfile(w, "Nvidia", "pytorch", pc, scale)
+	}
+	ingestBytes := func(p *profiler.Profile) {
+		t.Helper()
+		body, err := profdb.EncodeBundle([]profdb.Entry{{Profile: p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := profdb.PlanBundle(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ps.Release()
+		rec := &ps.Records[0]
+		if _, err := s.IngestPlan(LabelsOf(rec.Meta), rec.Plan, rec.Encoded()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nv("UNet", 0x1000, 1).Tree.Root.Incl == nil {
+		t.Fatal("the profiler's trees must hold inclusive slots for this test to mean anything")
+	}
+
+	mustIngest(t, s, nv("UNet", 0x1000, 1))
+	ingestBytes(nv("DLRM", 0x2000, 2))
+	clock.Advance(time.Minute)
+	mustIngest(t, s, nv("UNet", 0x3000, 3))
+	clock.Advance(time.Minute)
+	ingestBytes(nv("UNet", 0x4000, 4))
+	assertNoInclusive(t, s, "ingest")
+
+	clock.Advance(-90 * time.Second) // into the closed +0m window
+	mustIngest(t, s, nv("UNet", 0x5000, 5))
+	ingestBytes(nv("DLRM", 0x6000, 6))
+	clock.Advance(90 * time.Second)
+	assertNoInclusive(t, s, "late data")
+
+	clock.Advance(2 * time.Minute)
+	if folded, _ := s.CompactNow(); folded == 0 {
+		t.Fatal("compaction folded nothing")
+	}
+	assertNoInclusive(t, s, "compaction into coarse")
+
+	imported := cct.NormalizeAddresses(nv("UNet", 0x7000, 7).Tree)
+	blob, err := persist.EncodeProfile(&profiler.Profile{Tree: imported, Meta: profiler.Meta{Workload: "UNet", Vendor: "Nvidia", Framework: "pytorch"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := Labels{Workload: "UNet", Vendor: "Nvidia", Framework: "pytorch"}
+	imp := SeriesPartial{Bucket: PartialBucket{StartNS: clock.Now().Truncate(time.Minute).UnixNano(), DurNS: int64(time.Minute)},
+		Key: labels.Key(), Labels: labels, Profiles: 1, Tree: blob}
+	if n, err := s.ImportPartials(PartialSet{Series: []SeriesPartial{imp}}); err != nil || n != 1 {
+		t.Fatalf("import: %d, %v", n, err)
+	}
+	assertNoInclusive(t, s, "handoff import")
+
+	rng := rand.New(rand.NewSource(5))
+	agent := newDeltaAgent(Labels{Workload: "Bert", Vendor: "AMD", Framework: "jax"}, 0x8000)
+	for r := 0; r < 6; r++ {
+		agent.mutate(rng)
+		p := agent.upload(t, rng)
+		ingestBytes(p)
+		if r%2 == 0 {
+			clock.Advance(time.Minute)
+		}
+	}
+	if agent.deltas == 0 {
+		t.Fatal("the session sent no delta frames")
+	}
+	assertNoInclusive(t, s, "stream session")
+
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	mustIngest(t, s, nv("UNet", 0x9000, 9)) // lives only in the WAL
+	s.CompactNow()                          // as Recover does
+	want := goldenHotspots(t, s)
+	s.Close()
+	s = New(cfg)
+	if rs, err := s.Recover(); err != nil || !rs.SnapshotLoaded || rs.WALRecords == 0 {
+		t.Fatalf("recovery: %v, %+v; want a snapshot and WAL records", err, rs)
+	}
+	if n := assertNoInclusive(t, s, "snapshot and WAL recovery"); n == 0 {
+		t.Fatal("recovery restored no series")
+	}
+	if got := goldenHotspots(t, s); got != want {
+		t.Fatalf("recovered store answers differently:\n got %s\nwant %s", got, want)
+	}
+	tree, _, err := s.Aggregate(context.Background(), time.Time{}, time.Time{}, Labels{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Root.InclValue(tree.Schema.ID(cct.MetricGPUTime)) == 0 {
+		t.Fatal("the folded aggregate carries no derived inclusive total")
+	}
+}
+
+// goldenHotspots renders every stored row of /hotspots, inclusive totals
+// included, as one string.
+func goldenHotspots(t *testing.T, s *Store) string {
+	t.Helper()
+	rows, info, err := s.Hotspots(context.Background(), time.Time{}, time.Time{}, Labels{}, cct.MetricGPUTime, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, rows) + mustJSON(t, info)
 }

@@ -57,9 +57,14 @@ func EncodeProfile(p *profiler.Profile) ([]byte, error) {
 }
 
 // DecodeProfile reverses EncodeProfile through profdb's fuzz-hardened
-// decoder, straight from b; failures match profdb.ErrCorrupt.
+// decoder, straight from b; failures match profdb.ErrCorrupt. The tree
+// holds exclusive aggregates only, as stored — the shape of a window tree.
 func DecodeProfile(b []byte) (*profiler.Profile, error) {
-	return profdb.Decode(b)
+	entries, err := profdb.DecodeBundle(b)
+	if err != nil {
+		return nil, err
+	}
+	return entries[0].Profile, nil
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed entry

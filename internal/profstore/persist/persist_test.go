@@ -66,6 +66,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		total     float64
 	}
 	stats, err := r.Replay(nil, func(start, ts int64, p *profiler.Profile) error {
+		p.Tree.DeriveInclusive() // stored trees hold exclusive slots only
 		id, _ := p.Tree.Schema.Lookup(cct.MetricGPUTime)
 		got = append(got, struct {
 			start, ts int64
@@ -109,6 +110,7 @@ func TestWALReplayRespectsOffsets(t *testing.T) {
 	}
 	var totals []float64
 	stats, err := w.Replay(offsets, func(start, ts int64, p *profiler.Profile) error {
+		p.Tree.DeriveInclusive() // stored trees hold exclusive slots only
 		id, _ := p.Tree.Schema.Lookup(cct.MetricGPUTime)
 		totals = append(totals, p.Tree.Root.InclValue(id))
 		return nil
@@ -170,6 +172,7 @@ func TestWALReplayCorruptionPolicy(t *testing.T) {
 	}
 	var totals []float64
 	stats, err := r.Replay(nil, func(start, ts int64, p *profiler.Profile) error {
+		p.Tree.DeriveInclusive() // stored trees hold exclusive slots only
 		id, _ := p.Tree.Schema.Lookup(cct.MetricGPUTime)
 		totals = append(totals, p.Tree.Root.InclValue(id))
 		return nil
@@ -232,6 +235,7 @@ func TestWALResumeRepairsTornTail(t *testing.T) {
 	r2, _ := OpenWAL(dir)
 	var totals []float64
 	stats, err := r2.Replay(nil, func(start, ts int64, p *profiler.Profile) error {
+		p.Tree.DeriveInclusive() // stored trees hold exclusive slots only
 		id, _ := p.Tree.Schema.Lookup(cct.MetricGPUTime)
 		totals = append(totals, p.Tree.Root.InclValue(id))
 		return nil
@@ -378,6 +382,7 @@ func TestSnapshotRoundTripAndAtomicity(t *testing.T) {
 	if s.Key != "unet/nvidia/pytorch" || s.Profiles != 3 || s.Profile.Meta.Workload != "UNet" {
 		t.Fatalf("series = %+v", s)
 	}
+	s.Profile.Tree.DeriveInclusive() // stored trees hold exclusive slots only
 	id, _ := s.Profile.Tree.Schema.Lookup(cct.MetricGPUTime)
 	if s.Profile.Tree.Root.InclValue(id) != 300 {
 		t.Fatalf("tree total = %v", s.Profile.Tree.Root.InclValue(id))

@@ -79,28 +79,29 @@ type TrendStats struct {
 }
 
 // metricShares reduces one series' window tree to frame label → share of
-// the root's inclusive metric total. Shares aggregate by label across
-// calling contexts (per-label exclusive sums are accumulated first, then
-// divided once, so the same tree always yields the same floats). Returns
-// false when the metric is absent or the total is not positive.
+// the tree's metric total, the sum of every node's exclusive value (the
+// root's inclusive sum; a window tree stores no inclusive slots). Shares
+// aggregate by label across calling contexts (per-label exclusive sums are
+// accumulated first, then divided once, so the same tree always yields the
+// same floats). Returns false when the metric is absent or the total is
+// not positive.
 func metricShares(t *cct.Tree, metric string) (map[string]float64, bool) {
 	id, ok := t.Schema.Lookup(metric)
 	if !ok {
 		return nil, false
 	}
-	total := t.Root.InclValue(id)
-	if total <= 0 {
-		return nil, false
-	}
+	total := 0.0
 	sums := make(map[string]float64)
 	t.Visit(func(n *cct.Node) {
-		if n.Kind == cct.KindRoot {
-			return
-		}
-		if v := n.ExclValue(id); v != 0 {
+		v := n.ExclValue(id)
+		total += v
+		if v != 0 && n.Kind != cct.KindRoot {
 			sums[n.Label()] += v
 		}
 	})
+	if total <= 0 {
+		return nil, false
+	}
 	out := make(map[string]float64, len(sums))
 	for label, v := range sums {
 		out[label] = v / total

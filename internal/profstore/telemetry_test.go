@@ -25,14 +25,14 @@ const (
 	pinnedIngestBytes  = 48
 )
 
-// Pinned profile of the served byte path — plan a v4 body, append it to
+// Pinned profile of the served byte path — plan a v5 body, append it to
 // the WAL, merge the plan — for a durable store. The series key, the
 // record's one string and the WAL frame are all it allocates; a tree built
 // on the way (a decode, a normalization clone) costs dozens of allocations
 // and shows up here.
 const (
 	pinnedBytePathAllocs = 4
-	pinnedBytePathBytes  = 624
+	pinnedBytePathBytes  = 464
 )
 
 // bytesPerRun is testing.AllocsPerRun's missing sibling: average bytes

@@ -5,8 +5,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"deepcontext/internal/profdb"
 )
 
 // copyTree copies a committed fixture directory into dst so a test can
@@ -36,13 +39,14 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestUpgradeInPlaceFromGobDataDir boots the current binary on data
-// directories written by the last release whose profdb writer was gob
+// directories written by the last release whose profdb writer was gob, and
+// by the last whose writer was v4, which stored inclusive slots too
 // (testdata/upgrade: the first ten profiles of the golden corpus, stopping
 // inside window 3 — once as WAL segments only, once snapshotted). No
 // migration step: recovery reads the old records, the rest of the corpus
-// appends v4 records to the very segment that holds gob ones, and the
+// appends v5 records to the very segment that holds the old ones, and the
 // store must answer the recorded goldens — straight away, after a restart
-// that has to replay that mixed segment, and after one from a fresh (v4)
+// that has to replay that mixed segment, and after one from a fresh (v5)
 // snapshot.
 func TestUpgradeInPlaceFromGobDataDir(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "queries.golden.json"))
@@ -50,7 +54,12 @@ func TestUpgradeInPlaceFromGobDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	const held = 10
-	for _, fixture := range []string{"wal-only", "snapshot"} {
+	for fixture, oldMagic := range map[string]string{
+		"wal-only":    "DEEPCONTEXT-PROFDB-2",
+		"snapshot":    "DEEPCONTEXT-PROFDB-2",
+		"v4-wal-only": "DEEPCONTEXT-PROFDB-4",
+		"v4-snapshot": "DEEPCONTEXT-PROFDB-4",
+	} {
 		t.Run(fixture, func(t *testing.T) {
 			dir := t.TempDir()
 			copyTree(t, filepath.Join("testdata", "upgrade", fixture), dir)
@@ -67,19 +76,19 @@ func TestUpgradeInPlaceFromGobDataDir(t *testing.T) {
 			if rs.WALSkippedRecords != 0 || rs.WALSkippedSegments != 0 {
 				t.Fatalf("recovery skipped legacy records: %+v", rs)
 			}
-			if fixture == "snapshot" {
+			if strings.HasSuffix(fixture, "snapshot") {
 				if !rs.SnapshotLoaded || rs.ProfilesFromSnap != held {
-					t.Fatalf("recovery = %+v, want all %d profiles from the gob snapshot", rs, held)
+					t.Fatalf("recovery = %+v, want all %d profiles from the old snapshot", rs, held)
 				}
 			} else if rs.SnapshotLoaded || rs.WALRecords != held {
-				t.Fatalf("recovery = %+v, want %d gob WAL records", rs, held)
+				t.Fatalf("recovery = %+v, want %d old WAL records", rs, held)
 			}
 			if got := s.Stats().Ingested; got != held {
 				t.Fatalf("recovered %d profiles, want %d", got, held)
 			}
 
-			// The segment of window 3 must now grow v4 records behind its
-			// gob one.
+			// The segment of window 3 must now grow v5 records behind its
+			// old one.
 			seg := filepath.Join(dir, "shard-0", "wal", "1767225780000000000.wal")
 			before, err := os.ReadFile(seg)
 			if err != nil {
@@ -94,9 +103,9 @@ func TestUpgradeInPlaceFromGobDataDir(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.HasPrefix(after, before) || !bytes.Contains(before, []byte("DEEPCONTEXT-PROFDB-2")) ||
-				!bytes.Contains(after[len(before):], []byte("DEEPCONTEXT-PROFDB-4")) {
-				t.Fatalf("segment %s is not gob records followed by v4 records (%d -> %d bytes)", seg, len(before), len(after))
+			if !bytes.HasPrefix(after, before) || !bytes.Contains(before, []byte(oldMagic)) ||
+				!bytes.Contains(after[len(before):], []byte(profdb.FormatMagic)) {
+				t.Fatalf("segment %s is not %s records followed by v5 records (%d -> %d bytes)", seg, oldMagic, len(before), len(after))
 			}
 
 			// Restart over the mixed log.
@@ -109,7 +118,7 @@ func TestUpgradeInPlaceFromGobDataDir(t *testing.T) {
 				t.Fatalf("mixed-log recovery skipped records: %+v", rs)
 			}
 			if got := goldenImage(t, revived); !bytes.Equal(got, want) {
-				t.Fatal("restart over the mixed gob/v4 log diverged from the golden")
+				t.Fatal("restart over the mixed old/v5 log diverged from the golden")
 			}
 			// And once more from a snapshot this binary wrote.
 			if _, err := revived.Snapshot(); err != nil {
@@ -122,7 +131,7 @@ func TestUpgradeInPlaceFromGobDataDir(t *testing.T) {
 			}
 			defer again.Close()
 			if got := goldenImage(t, again); !bytes.Equal(got, want) {
-				t.Fatal("restart from the v4 snapshot diverged from the golden")
+				t.Fatal("restart from the v5 snapshot diverged from the golden")
 			}
 		})
 	}

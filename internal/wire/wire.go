@@ -1,5 +1,5 @@
 // Package wire holds the primitives of the repo's hand-written binary
-// encodings — profdb v4 databases and the cluster peer wire: append helpers
+// encodings — profdb databases and the cluster peer wire: append helpers
 // for strings, byte fields, booleans and floats, and Reader, a
 // bounds-checked cursor over untrusted bytes.
 //
