@@ -1,9 +1,8 @@
 package main
 
 // The fleet-wide query surface: /topk ranks frame labels across every
-// matching series via the store's close-time aggregates, /search finds
-// the series containing a given frame via the inverted frame index. Both
-// parsers take url.Values directly so the fuzz tests drive them without a
+// matching series and /search finds the series containing a given frame,
+// both from the store's close-time aggregates. Both parsers take url.Values directly so the fuzz tests drive them without a
 // server.
 
 import (

@@ -37,7 +37,7 @@
 // Every request, store mutation and persistence step is observed in an
 // in-process telemetry registry served on /metrics (request latency by
 // endpoint, ingest/WAL/fsync/compaction/snapshot timings, cache and
-// index occupancy); structured lifecycle events (window closes,
+// store occupancy); structured lifecycle events (window closes,
 // compactions, snapshots, recoveries, slow requests) land in a bounded
 // in-memory journal served on /debug/events. Telemetry is always on and
 // costs no allocations on the ingest path. -pprof-addr serves net/http/pprof on a second listener, kept off the
@@ -70,8 +70,8 @@
 // full uploads, so /stream never loses data relative to /ingest.
 //
 // Fleet-wide queries (/topk ranks frames across every matching series,
-// /search finds the series containing a frame) are served from per-window
-// aggregates and an inverted frame index maintained when windows close.
+// /search finds the series containing a frame) are served from per-series
+// aggregates computed when windows close.
 //
 // The store is lock-striped (-store-shards; the default adopts the data
 // dir's committed count, GOMAXPROCS for fresh dirs) so ingest of disjoint

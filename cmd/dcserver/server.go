@@ -414,7 +414,7 @@ type queryBackend interface {
 // localQueries is the single-node queryBackend: the store, sweeping before
 // the queries that read closed windows, as every node does when the
 // coordinator asks — so windows that closed since the last ingest are
-// aggregated, indexed and observed even on a quiet store.
+// aggregated and observed even on a quiet store.
 type localQueries struct{ *profstore.Store }
 
 func (l localQueries) TopK(ctx context.Context, from, to time.Time, filter profstore.Labels, metric string, k int) ([]profstore.TopKRow, profstore.AggregateInfo, error) {

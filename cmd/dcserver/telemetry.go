@@ -145,7 +145,7 @@ func (m *serverMetrics) wrap(endpoint string, h http.HandlerFunc) http.HandlerFu
 	}
 }
 
-// GET /metrics — the whole registry (request, store, WAL, cache, index,
+// GET /metrics — the whole registry (request, store, WAL, cache,
 // trend families) in Prometheus text exposition format.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -57,7 +57,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"profstore_ingest_seconds_count 1",
 		"profstore_cache_entries",
 		"profstore_trend_series",
-		"profstore_index_frames",
+		"profstore_tree_nodes",
 		"go_goroutines",
 	} {
 		if !strings.Contains(expo, want) {

@@ -19,15 +19,6 @@ import "sync"
 // parallel Welford rule. src is not modified.
 func Merge(dst, src *Tree) { dst.Merge(src) }
 
-// MergeAll unions trees into a fresh tree, leaving the inputs untouched.
-func MergeAll(trees ...*Tree) *Tree {
-	out := New()
-	for _, t := range trees {
-		Merge(out, t)
-	}
-	return out
-}
-
 // Clone returns a deep copy of t (metrics, structure and schema; the
 // bookkeeping counters PropagationSteps/InsertedFrames are not carried over).
 func Clone(t *Tree) *Tree {

@@ -1,7 +1,5 @@
 package cct
 
-import "math"
-
 // MetricID indexes a metric within a tree's schema.
 type MetricID int
 
@@ -93,14 +91,6 @@ func (m *Metric) Merge(o Metric) {
 	m.M2 += o.M2 + d*d*n1*n2/tot
 	m.Count += o.Count
 	m.Sum += o.Sum
-}
-
-// StdDev returns the population standard deviation.
-func (m *Metric) StdDev() float64 {
-	if m.Count < 2 {
-		return 0
-	}
-	return math.Sqrt(m.M2 / float64(m.Count))
 }
 
 // Empty reports whether no samples were added.

@@ -320,17 +320,6 @@ func (t *Tree) BFS(fn func(*Node) bool) {
 	}
 }
 
-// Leaves returns all leaf nodes.
-func (t *Tree) Leaves() []*Node {
-	var out []*Node
-	t.Visit(func(n *Node) {
-		if len(n.order) == 0 && n != t.Root {
-			out = append(out, n)
-		}
-	})
-	return out
-}
-
 // Merge folds other's metrics and structure into t (used to combine
 // per-thread subtrees or profiles from repeated runs). Inclusive slots are
 // merged where other's nodes hold them, so merging trees that hold

@@ -371,7 +371,9 @@ func TestRoundTripMergedAndDiffedProfiles(t *testing.T) {
 	gid, _ := b.Tree.Schema.Lookup(cct.MetricGPUTime)
 	b.Tree.AddMetric(b.Tree.InsertPath([]cct.Frame{cct.OperatorFrame("aten::extra")}), gid, 5000)
 
-	merged := &profiler.Profile{Tree: cct.MergeAll(a.Tree, b.Tree), Meta: a.Meta}
+	merged := &profiler.Profile{Tree: cct.New(), Meta: a.Meta}
+	cct.Merge(merged.Tree, a.Tree)
+	cct.Merge(merged.Tree, b.Tree)
 	diffed := &profiler.Profile{Tree: cct.Diff(a.Tree, b.Tree), Meta: a.Meta}
 
 	for name, p := range map[string]*profiler.Profile{"merged": merged, "diffed": diffed} {

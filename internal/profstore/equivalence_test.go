@@ -198,7 +198,7 @@ func (r *refStore) topK(from, to time.Time, filter Labels, metric string, k int)
 }
 
 // search is the uncached reference for Store.Search: every series
-// inspected (no posting-list skip), aggregates recomputed fresh.
+// inspected, aggregates recomputed fresh.
 func (r *refStore) search(from, to time.Time, filter Labels, frame, metric string, limit int) ([]SearchRow, AggregateInfo, error) {
 	if metric == "" {
 		metric = cct.MetricGPUTime
@@ -312,17 +312,6 @@ func runEquivalenceScript(t *testing.T, seed int64) {
 			defer v.s.Close()
 		}
 	}
-	// One variant runs with the fleet-query index disabled: TopK/Search
-	// must fall back to folding trees and still match byte-for-byte.
-	{
-		cfg := cfgBase
-		cfg.Shards = 4
-		cfg.CacheSize = 64
-		cfg.IndexDisabled = true
-		v := variant{"shards=4/cache=64/noindex", New(cfg)}
-		variants = append(variants, v)
-		defer v.s.Close()
-	}
 	ref := newRefStore(cfgBase)
 
 	var windowStarts []time.Time
@@ -375,9 +364,8 @@ func runEquivalenceScript(t *testing.T, seed int64) {
 				}
 			}
 		}
-		// Fleet queries: TopK over the close-time aggregates and Search
-		// through the inverted index must match the naive reference that
-		// recomputes every aggregate and inspects every series.
+		// Fleet queries: TopK and Search over the close-time aggregates
+		// must match the naive reference that recomputes every aggregate.
 		topkQueries := []struct {
 			from, to time.Time
 			filter   Labels

@@ -178,22 +178,10 @@ func foldTopK(walk walkFunc, from, to time.Time, filter Labels, metric string) (
 }
 
 // foldSearch accumulates the searched frame's per-series sums; the caller
-// ranks with finish. mayHave, when set, is the local inverted index: a
-// series whose close-time aggregate it proves free of the frame is skipped
-// without reading the aggregate's rows. A skipped series still counts in
-// the info and still contributes its metric names, so an unknown metric is
-// reported identically with and without the index.
-func foldSearch(walk walkFunc, from, to time.Time, filter Labels, frame, metric string, mayHave func(key string) bool) (*searchAcc, AggregateInfo, error) {
+// ranks with finish.
+func foldSearch(walk walkFunc, from, to time.Time, filter Labels, frame, metric string) (*searchAcc, AggregateInfo, error) {
 	acc := newSearchAcc(frame, metric)
-	info, err := foldRange(walk, from, to, filter, func(it foldItem) {
-		if it.agg != nil && mayHave != nil && !mayHave(it.key) {
-			for _, m := range it.agg.metrics {
-				acc.known[m] = true
-			}
-			return
-		}
-		acc.addSeries(it.key, it.labels, it.aggregate())
-	})
+	info, err := foldRange(walk, from, to, filter, func(it foldItem) { acc.addSeries(it.key, it.labels, it.aggregate()) })
 	return acc, info, err
 }
 

@@ -253,10 +253,11 @@ func TestQueryGolden(t *testing.T) {
 
 // TestQueryGoldenAcrossRestart pins the restart half of the acceptance
 // matrix: a durable store answers the golden corpus byte-identical to the
-// in-memory recording after a graceful restart (snapshot adopted, index
-// blob included) AND after a hard one (snapshots deleted, WAL-only replay
-// rebuilds everything — including the frame index), for every shard and
-// cache combination.
+// in-memory recording after a graceful restart (snapshot adopted) AND
+// after a hard one (snapshots deleted, WAL-only replay rebuilds
+// everything, close-time aggregates included), for every shard and cache
+// combination. TopK and Search are part of the image, so both answer
+// byte-equal across either restart.
 func TestQueryGoldenAcrossRestart(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "queries.golden.json"))
 	if err != nil {

@@ -36,7 +36,6 @@ type storeMetrics struct {
 	walBytes       *telemetry.Counter
 	walFsyncs      *telemetry.Counter
 	walPruned      *telemetry.Counter
-	indexRebuilds  *telemetry.Counter
 
 	cacheHits          *telemetry.Counter
 	cacheMisses        *telemetry.Counter
@@ -60,7 +59,7 @@ func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 
 		ingestSeconds:    reg.Histogram("profstore_ingest_seconds", "Full Store.Ingest latency (encode, normalize, WAL append, merge)."),
 		lockWaitSeconds:  reg.Histogram("profstore_shard_lock_wait_seconds", "Time an ingest waited to acquire its shard's write lock."),
-		closeSeconds:     reg.Histogram("profstore_window_close_seconds", "Window-close pass latency (trend observation plus index aggregation)."),
+		closeSeconds:     reg.Histogram("profstore_window_close_seconds", "Window-close pass latency (trend observation plus series aggregation)."),
 		compactSeconds:   reg.Histogram("profstore_compaction_seconds", "Full CompactNow pass latency across all shards."),
 		snapshotSeconds:  reg.Histogram("profstore_snapshot_seconds", "Full Snapshot latency (capture, encode, commit, prune)."),
 		recoverySeconds:  reg.Histogram("profstore_recovery_seconds", "Full Recover latency (snapshot load plus WAL replay)."),
@@ -71,7 +70,7 @@ func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 		compactions:    reg.Counter("profstore_compactions_total", "Compaction passes that folded or dropped at least one window."),
 		windowsFolded:  reg.Counter("profstore_compaction_windows_folded_total", "Fine windows folded into coarse buckets by compaction."),
 		windowsDropped: reg.Counter("profstore_compaction_windows_dropped_total", "Coarse windows dropped by retention."),
-		windowsClosed:  reg.Counter("profstore_windows_closed_total", "Fine windows closed (observed by the trend tracker and indexed)."),
+		windowsClosed:  reg.Counter("profstore_windows_closed_total", "Fine windows closed (observed by the trend tracker and aggregated)."),
 		snapshots:      reg.Counter("profstore_snapshots_total", "Snapshots committed."),
 		snapshotErrors: reg.Counter("profstore_snapshot_errors_total", "Snapshot attempts that failed."),
 		batches:        reg.Counter("profstore_ingest_batches_total", "Batch ingests applied (one shard-lock acquisition per shard per batch)."),
@@ -80,7 +79,6 @@ func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 		walBytes:       reg.Counter("profstore_wal_appended_bytes_total", "WAL bytes appended (frame headers included)."),
 		walFsyncs:      reg.Counter("profstore_wal_fsyncs_total", "WAL segment fsyncs."),
 		walPruned:      reg.Counter("profstore_wal_pruned_segments_total", "WAL segments deleted after snapshot coverage or retention."),
-		indexRebuilds:  reg.Counter("profstore_index_rebuilds_total", "Recoveries that rebuilt the frame index from retained windows."),
 
 		cacheHits:          reg.Counter("profstore_cache_hits_total", "Query-cache hits (generation stamps matched)."),
 		cacheMisses:        reg.Counter("profstore_cache_misses_total", "Query-cache misses (no entry, or stale)."),
@@ -130,10 +128,6 @@ func (s *Store) registerStoreGauges(reg *telemetry.Registry) {
 		func() float64 { return float64(s.trendStats().Findings) })
 	reg.GaugeFunc("profstore_trend_suppressed", "Trend drifts suppressed below the confirmation threshold.",
 		func() float64 { return float64(s.trendStats().Suppressed) })
-	reg.GaugeFunc("profstore_index_frames", "Distinct frames in the fleet-query index.",
-		func() float64 { return float64(s.indexOccupancy().frames) })
-	reg.GaugeFunc("profstore_index_postings", "Series postings in the fleet-query index.",
-		func() float64 { return float64(s.indexOccupancy().postings) })
 }
 
 func unixSeconds(t time.Time) float64 {
@@ -202,25 +196,4 @@ func (s *Store) trendStatsLocked() TrendStats {
 		ts.Late += st.Late
 	}
 	return ts
-}
-
-type indexOccupancy struct {
-	frames, postings int64
-}
-
-func (s *Store) indexOccupancy() indexOccupancy {
-	s.rlockAll()
-	defer s.runlockAll()
-	return s.indexOccupancyLocked()
-}
-
-func (s *Store) indexOccupancyLocked() indexOccupancy {
-	var oc indexOccupancy
-	for _, sh := range s.shards {
-		if sh.idx != nil {
-			oc.frames += int64(sh.idx.in.Len())
-			oc.postings += sh.idx.postings
-		}
-	}
-	return oc
 }

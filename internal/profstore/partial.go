@@ -53,7 +53,7 @@ type PartialBucket struct {
 	DurNS   int64 `json:"dur_ns"`
 }
 
-// AggData is the exported form of a close-time series aggregate (index.go's
+// AggData is the exported form of a close-time series aggregate (agg.go's
 // seriesAgg): parallel label/kind rows with one metric-sum vector each. The
 // peer wire carries every sum's exact IEEE-754 bits, so a folded aggregate
 // is bit-equal whether it traveled or not.
@@ -299,13 +299,12 @@ func FoldTopK(parts []SeriesPartial, from, to time.Time, filter Labels, metric s
 }
 
 // FoldSearch ranks a multi-node union of aggregate partials, byte-equal to
-// Store.Search. The coordinator folds without the inverted index — the index
-// only prunes work, never changes results.
+// Store.Search: the same fold over the same aggregates.
 func FoldSearch(parts []SeriesPartial, from, to time.Time, filter Labels, frame, metric string, limit int) ([]SearchRow, AggregateInfo, error) {
 	if metric == "" {
 		metric = cct.MetricGPUTime
 	}
-	acc, info, err := foldSearch(walkPartials(parts, PartialAggs), from, to, filter, frame, metric, nil)
+	acc, info, err := foldSearch(walkPartials(parts, PartialAggs), from, to, filter, frame, metric)
 	if err != nil {
 		return nil, info, err
 	}
@@ -456,10 +455,9 @@ func (sh *shard) replaceSeriesLocked(startNS, durNS int64, coarse bool, key stri
 
 // DropSeries removes every series whose key drop accepts, from both tiers of
 // every shard, along with its trend state — the old owner's cleanup after a
-// handoff commits. Emptied windows are deleted. Frame-index postings stay
-// (they are over-approximate, hence sound); WAL records of dropped series
-// are neutralized by the snapshot the caller takes right after. It returns
-// how many series-buckets were removed.
+// handoff commits. Emptied windows are deleted. WAL records of dropped
+// series are neutralized by the snapshot the caller takes right after. It
+// returns how many series-buckets were removed.
 func (s *Store) DropSeries(drop func(key string) bool) int {
 	n := 0
 	for _, sh := range s.shards {

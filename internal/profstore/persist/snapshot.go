@@ -52,9 +52,6 @@ type State struct {
 	Windows            []WindowState
 	WALOffsets         map[int64]int64
 	Trend              []byte
-	// Index is the shard's fleet-query frame index (an opaque blob the
-	// profstore encodes/decodes; nil when the index is disabled or empty).
-	Index []byte
 }
 
 // manifest is the JSON index of one snapshot directory.
@@ -68,13 +65,11 @@ type manifest struct {
 	WAL                []manifestSegment `json:"wal,omitempty"`
 	// TrendFile/TrendSHA256 name and checksum the trend-state blob.
 	// Optional and additive: snapshots written before trend tracking
-	// simply lack them.
+	// simply lack them. Older snapshots may also carry index_file and
+	// index_sha256, naming a frame-index file this package no longer
+	// reads; decoding ignores both keys and the file.
 	TrendFile   string `json:"trend_file,omitempty"`
 	TrendSHA256 string `json:"trend_sha256,omitempty"`
-	// IndexFile/IndexSHA256 name and checksum the fleet-query frame index
-	// blob; same additive policy as the trend pair.
-	IndexFile   string `json:"index_file,omitempty"`
-	IndexSHA256 string `json:"index_sha256,omitempty"`
 }
 
 type manifestWindow struct {
@@ -160,12 +155,6 @@ func CaptureState(st *State) (*Capture, error) {
 		c.files = append(c.files, capturedFile{name: "trend.json", data: st.Trend})
 		c.man.TrendFile = "trend.json"
 		c.man.TrendSHA256 = hex.EncodeToString(sum[:])
-	}
-	if len(st.Index) > 0 {
-		sum := sha256.Sum256(st.Index)
-		c.files = append(c.files, capturedFile{name: "index.json", data: st.Index})
-		c.man.IndexFile = "index.json"
-		c.man.IndexSHA256 = hex.EncodeToString(sum[:])
 	}
 	segs := make([]manifestSegment, 0, len(st.WALOffsets))
 	for start, off := range st.WALOffsets {
@@ -324,20 +313,6 @@ func ReadSnapshot(dataDir string) (*State, error) {
 			return nil, fmt.Errorf("persist: snapshot %s: checksum mismatch on %s", name, man.TrendFile)
 		}
 		st.Trend = data
-	}
-	if man.IndexFile != "" {
-		if strings.ContainsAny(man.IndexFile, "/\\") {
-			return nil, fmt.Errorf("persist: snapshot %s: invalid index file name %q", name, man.IndexFile)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, man.IndexFile))
-		if err != nil {
-			return nil, fmt.Errorf("persist: snapshot %s: %w", name, err)
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != man.IndexSHA256 {
-			return nil, fmt.Errorf("persist: snapshot %s: checksum mismatch on %s", name, man.IndexFile)
-		}
-		st.Index = data
 	}
 	for _, mw := range man.Windows {
 		if strings.ContainsAny(mw.File, "/\\") {

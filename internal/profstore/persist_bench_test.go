@@ -30,14 +30,13 @@ func BenchmarkIngestStoreWAL(b *testing.B) { benchmarkIngest(b, b.TempDir()) }
 // The window-close tax on the ingest path. Observation happens when an
 // ingest rolls to a new window (the previous one just closed), so each
 // iteration advances the clock one window and compacts — the steady-state
-// production rhythm. Every close feeds the trend detector; with the index
-// on it also computes the series aggregate and registers its frames.
-// In-window ingest (the hot path) is untouched either way — one int64
-// compare guards the close pass; the pinned BenchmarkIngestStoreMemory
-// profile must not move.
-func benchmarkIngestRolling(b *testing.B, indexDisabled bool) {
+// production rhythm. Every close feeds the trend detector and computes
+// the series aggregate. In-window ingest (the hot path) is untouched — one
+// int64 compare guards the close pass; the pinned
+// BenchmarkIngestStoreMemory profile must not move.
+func BenchmarkIngestWindowRoll(b *testing.B) {
 	clock := newClock(base)
-	s := New(Config{Window: time.Minute, Now: clock.Now, IndexDisabled: indexDisabled})
+	s := New(Config{Window: time.Minute, Now: clock.Now})
 	defer s.Close()
 	p := synthProfile("UNet", "Nvidia", "pytorch", 0x1000, 1)
 	b.ReportAllocs()
@@ -50,10 +49,6 @@ func benchmarkIngestRolling(b *testing.B, indexDisabled bool) {
 		s.CompactNow()
 	}
 }
-
-func BenchmarkIngestWindowRollIndexOn(b *testing.B) { benchmarkIngestRolling(b, false) }
-
-func BenchmarkIngestWindowRollIndexOff(b *testing.B) { benchmarkIngestRolling(b, true) }
 
 // Snapshot cost at a representative occupancy (60 windows × 1 series).
 func BenchmarkSnapshot(b *testing.B) {

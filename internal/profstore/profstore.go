@@ -45,14 +45,11 @@
 // TopK (global frame ranking) and Search (which series contain a frame)
 // answer fleet-scale questions without folding trees: when a fine window
 // closes — the same transition points the trend tracker hooks — each of
-// its series is reduced to a per-label exclusive-sum aggregate and its
-// frames are registered in the shard's inverted index (interned identity
-// → posting list of series keys; see index.go). Queries fold the cached
-// aggregates in the canonical (tier, start, seriesKey) order and Search
-// prunes series whose posting lists prove the frame absent. Both paths
+// its series is reduced to a per-label exclusive-sum aggregate (see
+// agg.go). Queries fold the cached aggregates in the canonical (tier,
+// start, seriesKey) order, one label lookup per series for Search. Both
 // are bit-identical to aggregating the trees on the fly, which the
-// equivalence and golden tests pin; Config.IndexDisabled turns the fast
-// path off without changing any result.
+// equivalence and golden tests pin.
 //
 // # Regression detection
 //
@@ -201,11 +198,6 @@ type Config struct {
 	// Trend tunes the regression detector (see internal/profstore/trend),
 	// which is always on.
 	Trend trend.Config
-	// IndexDisabled turns off the fleet-query frame index and close-time
-	// aggregates (see index.go). TopK and Search still work — they fall
-	// back to aggregating trees on the fly — and return byte-identical
-	// results, just without the indexed fast path. On by default.
-	IndexDisabled bool
 	// Telemetry receives the store's metrics and lifecycle events; nil
 	// gives the store a private registry (Stats() is backed by the same
 	// counters either way). Stores sharing a registry share counters —
@@ -1056,8 +1048,6 @@ type Stats struct {
 	// Persist is present only when Config.Dir is set.
 	Persist *PersistStats `json:"persist,omitempty"`
 	Trend   *TrendStats   `json:"trend,omitempty"`
-	// Index is present unless Config.IndexDisabled.
-	Index *IndexStats `json:"index,omitempty"`
 }
 
 // PersistStats counts durability work since boot, summed across shards.
@@ -1092,10 +1082,6 @@ func (s *Store) Stats() Stats {
 	st.FineWindows, st.CoarseWindows = oc.fine, oc.coarse
 	ts := s.trendStatsLocked()
 	st.Trend = &ts
-	if !s.cfg.IndexDisabled {
-		ix := s.indexOccupancyLocked()
-		st.Index = &IndexStats{Rebuilds: s.met.indexRebuilds.Value(), Frames: ix.frames, Postings: ix.postings}
-	}
 	if s.cfg.Dir != "" {
 		ps := &PersistStats{
 			Dir:               s.cfg.Dir,

@@ -54,10 +54,9 @@ func BenchmarkHotspotsCached(b *testing.B) { benchmarkHotspots(b, 128) }
 // populateFleet fills a store with one closed window of seriesN distinct
 // series — the fleet-query shape: many series, wide trees (32 calling
 // contexts each, the representative profile width; the 6-frame
-// synthProfile would make the per-series fold the index skips look
-// artificially cheap). Every 100th series additionally carries a rare
-// kernel only those series have, so Search benchmarks exercise the
-// posting-list skip.
+// synthProfile would make the per-series aggregate look artificially
+// cheap). Every 100th series additionally carries a rare kernel only
+// those series have, so Search benchmarks find 1 series in 100.
 func populateFleet(b *testing.B, s *Store, clock *fakeClock, seriesN int) {
 	b.Helper()
 	for si := 0; si < seriesN; si++ {
@@ -76,16 +75,15 @@ func populateFleet(b *testing.B, s *Store, clock *fakeClock, seriesN int) {
 		}
 	}
 	clock.Advance(2 * time.Minute)
-	s.TrendSweep() // closes the window: aggregates computed, index built
+	s.TrendSweep() // closes the window: aggregates computed
 }
 
-// benchmarkTopK measures the fleet-wide ranking with the close-time
-// aggregates (index on) against the naive per-query tree fold (index
-// off). The cache is off in both: this measures the fold, not
+// BenchmarkTopK10kSeries measures the fleet-wide ranking over the
+// close-time aggregates. The cache is off: this measures the fold, not
 // memoization.
-func benchmarkTopK(b *testing.B, indexDisabled bool) {
+func BenchmarkTopK10kSeries(b *testing.B) {
 	clock := newClock(base)
-	s := New(Config{Window: time.Minute, Shards: 4, CacheSize: 0, Now: clock.Now, IndexDisabled: indexDisabled})
+	s := New(Config{Window: time.Minute, Shards: 4, CacheSize: 0, Now: clock.Now})
 	defer s.Close()
 	populateFleet(b, s, clock, 10000)
 	b.ReportAllocs()
@@ -97,16 +95,12 @@ func benchmarkTopK(b *testing.B, indexDisabled bool) {
 	}
 }
 
-func BenchmarkTopK10kSeriesIndexed(b *testing.B) { benchmarkTopK(b, false) }
-
-func BenchmarkTopK10kSeriesUncachedFold(b *testing.B) { benchmarkTopK(b, true) }
-
-// benchmarkSearchRare measures finding the 1-in-100 series that carry a
-// rare kernel: the posting lists prove the frame absent for the other 99%
-// without touching their aggregates.
-func benchmarkSearchRare(b *testing.B, indexDisabled bool) {
+// BenchmarkSearchRare10kSeries measures finding the 1-in-100 series that
+// carry a rare kernel: one label lookup in each series' close-time
+// aggregate.
+func BenchmarkSearchRare10kSeries(b *testing.B) {
 	clock := newClock(base)
-	s := New(Config{Window: time.Minute, Shards: 4, CacheSize: 0, Now: clock.Now, IndexDisabled: indexDisabled})
+	s := New(Config{Window: time.Minute, Shards: 4, CacheSize: 0, Now: clock.Now})
 	defer s.Close()
 	populateFleet(b, s, clock, 10000)
 	b.ReportAllocs()
@@ -156,10 +150,6 @@ func BenchmarkFoldPartials(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkSearchRare10kSeriesIndexed(b *testing.B) { benchmarkSearchRare(b, false) }
-
-func BenchmarkSearchRare10kSeriesUncachedFold(b *testing.B) { benchmarkSearchRare(b, true) }
 
 // wideProfile builds a profile with `paths` distinct calling contexts, so
 // the under-lock merge does representative work (the small synthProfile

@@ -278,7 +278,6 @@ func (s *Store) emptyForRecover() bool {
 // changed.
 func (s *Store) recoverSource(src string, rs *RecoveryStats) error {
 	var offsets map[int64]int64
-	indexAdopted := false
 	snap, err := persist.ReadSnapshot(src)
 	switch {
 	case err != nil:
@@ -338,36 +337,6 @@ func (s *Store) recoverSource(src string, rs *RecoveryStats) error {
 				}
 			}
 		}
-		// Adopt the snapshot's frame index, each posting routed to the
-		// series' current shard (like trend state, so the index survives
-		// shard-count migrations). Postings are over-approximate, so
-		// adopting historical ones is always sound; windows replayed beyond
-		// the snapshot re-register their frames when the catch-up
-		// CompactNow closes them. A corrupt blob degrades to rebuilding
-		// from retained windows, reported but never fatal.
-		if !s.cfg.IndexDisabled && len(snap.Index) > 0 {
-			st, ierr := decodeIndexState(snap.Index)
-			if ierr != nil {
-				rs.Warnings = append(rs.Warnings, fmt.Sprintf("index state discarded: %v", ierr))
-			} else {
-				for _, sh := range s.shards {
-					sh.mu.Lock()
-					for _, fs := range st.Frames {
-						var keys []string
-						for _, key := range fs.Series {
-							if s.shardFor(key) == sh {
-								keys = append(keys, key)
-							}
-						}
-						if len(keys) > 0 {
-							sh.idx.adoptFrame(fs, keys)
-						}
-					}
-					sh.mu.Unlock()
-				}
-				indexAdopted = true
-			}
-		}
 		offsets = snap.WALOffsets
 	}
 
@@ -403,17 +372,6 @@ func (s *Store) recoverSource(src string, rs *RecoveryStats) error {
 	rs.WALRecords += rep.Records
 	rs.WALSkippedRecords += rep.SkippedRecords
 	rs.WALSkippedSegments += rep.SkippedSegments
-	// A source that carried data but no usable index blob (pre-index
-	// snapshot, corrupt blob, or WAL-only recovery) forces an index
-	// rebuild from the retained windows — Recover's CompactNow does the
-	// actual work; here we only count it for Stats.
-	if !s.cfg.IndexDisabled && !indexAdopted &&
-		(rep.Records > 0 || (snap != nil && len(snap.Windows) > 0)) {
-		s.met.indexRebuilds.Inc()
-		s.met.journal.Record("index_rebuild",
-			fmt.Sprintf("source %s carried no usable frame index; rebuilding from retained windows", filepath.Base(src)),
-			"source", filepath.Base(src))
-	}
 	for _, w := range rep.Warnings {
 		rs.Warnings = append(rs.Warnings, filepath.Base(src)+": "+w)
 	}

@@ -54,10 +54,10 @@ func (s *Store) Regressions(q RegressionQuery) []trend.Finding {
 }
 
 // TrendSweep closes every fine window that has ended under the store's
-// clock but has not been processed yet — trend observation plus frame
-// index/aggregate maintenance, the same pass ingest and compaction run
+// clock but has not been processed yet — trend observation plus
+// close-time aggregates, the same pass ingest and compaction run
 // incrementally. Query handlers call it so findings and the fleet-query
-// index are current even when ingest has gone quiet.
+// aggregates are current even when ingest has gone quiet.
 func (s *Store) TrendSweep() {
 	t0 := time.Now()
 	now := s.cfg.Now()

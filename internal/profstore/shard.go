@@ -20,11 +20,9 @@ type series struct {
 	labels   Labels
 	tree     *cct.Tree
 	profiles int
-	// agg is the close-time per-label aggregate for the fleet queries;
-	// nil while the window is open or after late data lands (queries then
-	// compute on the fly). Non-nil implies the tree is registered in the
-	// owning shard's frame index under this series' key — the invariant
-	// Search's posting-list skip relies on (see index.go).
+	// agg is the close-time per-label aggregate for the fleet queries
+	// (see agg.go); nil while the window is open or after late data lands
+	// (queries then compute on the fly).
 	agg *seriesAgg
 	// enc caches the tree's persist.EncodeProfile bytes for partial
 	// exports, filled on first export and cleared by every tree mutation
@@ -136,14 +134,10 @@ type shard struct {
 	// ingest/compaction, reads (findings, stats, snapshot capture) under
 	// at least the read lock.
 	tracker *trend.Tracker
-	// idx is the shard's inverted frame index for the fleet queries,
-	// fed at the same window-close points as the tracker; nil when
-	// Config.IndexDisabled. Guarded by mu like the tracker.
-	idx *frameIndex
 	// closeCursor marks the window-close frontier: every fine window with
-	// start below it has been closed — fed to the tracker and aggregated
-	// into the frame index. Closed fine windows are immutable (ingest only
-	// lands in the current window), so the cursor only moves forward; an
+	// start below it has been closed — fed to the tracker and its series
+	// aggregated. Closed fine windows are immutable (ingest only lands in
+	// the current window), so the cursor only moves forward; an
 	// ingest below it is late data the tracker counts but does not re-fold
 	// (and which clears the bucket's cached aggregate, see
 	// mergeIntoWindowLocked).
@@ -172,9 +166,6 @@ func newShard(id int, cfg Config, met *storeMetrics) *shard {
 	}
 	if cfg.Dir != "" {
 		sh.dir = shardDir(cfg.Dir, id)
-	}
-	if !cfg.IndexDisabled {
-		sh.idx = newFrameIndex()
 	}
 	return sh
 }
@@ -229,10 +220,10 @@ func (sh *shard) write(entries []PreparedProfile) (time.Time, error) {
 
 // closeWindowsLocked processes every fine window that closed by asOf —
 // and has not been closed yet — oldest first, each series in sorted key
-// order: the trend tracker observes it and the frame index gains its
-// frames plus the series' close-time aggregate. A window is closed once
-// asOf passes its end; from then on its trees are immutable, so one pass
-// is final. Callers hold sh.mu exclusively.
+// order: the trend tracker observes it and the series gains its
+// close-time aggregate. A window is closed once asOf passes its end; from
+// then on its trees are immutable, so one pass is final. Callers hold
+// sh.mu exclusively.
 func (sh *shard) closeWindowsLocked(asOf time.Time) {
 	t0 := time.Now()
 	closed := 0
@@ -251,9 +242,8 @@ func (sh *shard) closeWindowsLocked(asOf time.Time) {
 			if shares, ok := metricShares(ser.tree, metric); ok {
 				sh.tracker.Observe(key, ser.labels.Workload, ser.labels.Vendor, ser.labels.Framework, k, shares)
 			}
-			if sh.idx != nil && ser.agg == nil {
+			if ser.agg == nil {
 				ser.agg = computeSeriesAgg(ser.tree)
-				sh.idx.addSeries(key, ser.tree)
 			}
 		}
 		sh.closeCursor = k + 1
@@ -283,8 +273,7 @@ func (sh *shard) mergeIntoWindowLocked(start time.Time, key string, labels Label
 	}
 	// Late data into an already-closed bucket drops its close-time
 	// aggregate until the bucket next closes (compaction for fine
-	// buckets). The index keeps its old postings — over-approximation is
-	// sound — but the skip needs agg.
+	// buckets).
 	ser.mergePlan(plan)
 	ser.profiles++
 	sh.gens[winKey{start.UnixNano(), false}]++
@@ -329,7 +318,7 @@ func (sh *shard) openWALLocked() error {
 func (sh *shard) compact(now time.Time) (folded, dropped int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// Close windows (trend observation + index/aggregate maintenance)
+	// Close windows (trend observation + aggregate maintenance)
 	// before any of them fold away: folding is lossy in time resolution,
 	// observation is not.
 	sh.closeWindowsLocked(now)
@@ -362,20 +351,15 @@ func (sh *shard) compact(now time.Time) (folded, dropped int) {
 		sh.gens[winKey{cStart.UnixNano(), true}]++
 		folded++
 	}
-	if sh.idx != nil {
-		// Re-aggregate and index every coarse series whose aggregate was
-		// invalidated — by the fold above or by recovery adoption (Recover
-		// converges through CompactNow, so adopted coarse windows are
-		// indexed here too). Coarse buckets only change at compaction, so
-		// between passes their aggregates stay valid.
-		for _, key := range sortedKeys(sh.coarse) {
-			w := sh.coarse[key]
-			for _, k := range sortedKeys(w.series) {
-				ser := w.series[k]
-				if ser.agg == nil {
-					ser.agg = computeSeriesAgg(ser.tree)
-					sh.idx.addSeries(k, ser.tree)
-				}
+	// Re-aggregate every coarse series whose aggregate was invalidated —
+	// by the fold above or by recovery adoption (Recover converges through
+	// CompactNow, so adopted coarse windows are aggregated here too).
+	// Coarse buckets only change at compaction, so between passes their
+	// aggregates stay valid.
+	for _, w := range sh.coarse {
+		for _, ser := range w.series {
+			if ser.agg == nil {
+				ser.agg = computeSeriesAgg(ser.tree)
 			}
 		}
 	}
@@ -471,11 +455,6 @@ func (sh *shard) captureLocked(now time.Time, compactions int64, offsets map[int
 	var err error
 	if state.Trend, err = sh.tracker.EncodeState(); err != nil {
 		return nil, fmt.Errorf("profstore: shard %d encode trend state: %w", sh.id, err)
-	}
-	if sh.idx != nil {
-		if state.Index, err = sh.idx.encodeState(); err != nil {
-			return nil, fmt.Errorf("profstore: shard %d encode index state: %w", sh.id, err)
-		}
 	}
 	appendWindow := func(w *window, coarse bool) {
 		ws := persist.WindowState{Start: w.start.UnixNano(), DurNS: int64(w.dur), Coarse: coarse}

@@ -173,12 +173,11 @@ func searchExcl(t *testing.T, s *Store, filter Labels) float64 {
 
 // TestShardedStressTopKSearch is the fleet-query half of the -race stress
 // satellite: concurrent ingest, TopK, Search and compaction across shards
-// with the cache on. Window closes compute aggregates and index postings
-// under the write lock while readers fold them under the read locks; a
-// paired reader polls its writer's series through Search("gemm"), which
-// must be non-decreasing (merges only add, the clock never crosses the
-// retention horizon, and a stale cached row or an unsound index skip
-// would read low). The run ends with exact conserved sums through TopK.
+// with the cache on. Window closes compute aggregates under the write
+// lock while readers fold them under the read locks; a paired reader
+// polls its writer's series through Search("gemm"), which must be
+// non-decreasing (merges only add, the clock never crosses the retention
+// horizon, and a stale cached row or a stale aggregate would read low). The run ends with exact conserved sums through TopK.
 func TestShardedStressTopKSearch(t *testing.T) {
 	clock := newClock(base)
 	s := New(Config{
@@ -237,7 +236,7 @@ func TestShardedStressTopKSearch(t *testing.T) {
 			for {
 				got := searchExcl(t, s, filter)
 				if got < last {
-					t.Errorf("series %s gemm total went backwards: %v after %v (stale cache or unsound index skip)", workload, got, last)
+					t.Errorf("series %s gemm total went backwards: %v after %v (stale cache or stale aggregate)", workload, got, last)
 					return
 				}
 				last = got

@@ -2,8 +2,8 @@ package profstore
 
 // Fleet-wide queries over the close-time aggregates: TopK ranks frame
 // labels by exclusive metric across every matching series without folding
-// a single tree, and Search finds the series that contain a given frame,
-// pruned by the inverted index. Both fold in the store's canonical
+// a single tree, and Search finds the series that contain a given frame
+// with one label lookup per series. Both fold in the store's canonical
 // (tier, bucket start, series key) order and go through the same
 // generation-stamped cache as Hotspots, so results are byte-identical for
 // every shard count, cache setting and restart history — pinned by the
@@ -271,12 +271,10 @@ func (s *Store) TopK(ctx context.Context, from, to time.Time, filter Labels, met
 
 // Search returns the series matching filter whose trees contain frame (a
 // display label, e.g. a kernel name), ranked by the frame's exclusive
-// metric over [from, to). Buckets indexed at window close are pruned
-// through the inverted index — a series provably without the frame is
-// skipped without touching its aggregate; open (still-ingesting) buckets
-// are aggregated on the fly and always inspected. With the query cache
-// enabled the returned rows may be shared and must be treated as
-// read-only.
+// metric over [from, to). Closed buckets are read from their close-time
+// aggregates; open (still-ingesting) buckets are aggregated on the fly.
+// With the query cache enabled the returned rows may be shared and must
+// be treated as read-only.
 func (s *Store) Search(ctx context.Context, from, to time.Time, filter Labels, frame, metric string, limit int) ([]SearchRow, AggregateInfo, error) {
 	if metric == "" {
 		metric = cct.MetricGPUTime
@@ -286,10 +284,7 @@ func (s *Store) Search(ctx context.Context, from, to time.Time, filter Labels, f
 			return fmt.Sprintf("srch|%d|%d|%s|%q|%q|%d", from.UnixNano(), to.UnixNano(), filter.Key(), frame, metric, limit)
 		},
 		func() (*searchAcc, AggregateInfo, error) {
-			// A close-time aggregate implies its tree is indexed (see
-			// index.go), so the posting list may prune it.
-			mayHave := func(key string) bool { return s.shardFor(key).idx.seriesMayHave(frame, key) }
-			return foldSearch(s.walker(ctx, from, to, filter), from, to, filter, frame, metric, mayHave)
+			return foldSearch(s.walker(ctx, from, to, filter), from, to, filter, frame, metric)
 		},
 		func(acc *searchAcc) ([]SearchRow, error) { return acc.finish(limit) })
 }

@@ -2,6 +2,7 @@ package profstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -35,6 +36,39 @@ func copyTree(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// requireNoIndexFile checks that the current snapshot of every shard
+// under dir carries no frame index: no index.json beside the windows, and
+// no index_file key in MANIFEST.json. Older snapshots hold both; this
+// build writes neither.
+func requireNoIndexFile(t *testing.T, dir string) {
+	t.Helper()
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no shard directories under %s: %v", dir, err)
+	}
+	for _, sh := range shards {
+		cur, err := os.ReadFile(filepath.Join(sh, "CURRENT"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := filepath.Join(sh, strings.TrimSpace(string(cur)))
+		if _, err := os.Stat(filepath.Join(snap, "index.json")); !os.IsNotExist(err) {
+			t.Errorf("%s holds an index.json (stat err %v)", snap, err)
+		}
+		data, err := os.ReadFile(filepath.Join(snap, "MANIFEST.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man map[string]json.RawMessage
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := man["index_file"]; ok {
+			t.Errorf("%s/MANIFEST.json has an index_file key", snap)
+		}
 	}
 }
 
@@ -125,6 +159,7 @@ func TestUpgradeInPlaceFromGobDataDir(t *testing.T) {
 				t.Fatal(err)
 			}
 			revived.Close()
+			requireNoIndexFile(t, dir)
 			again := New(cfg)
 			if rs, err = again.Recover(); err != nil || !rs.SnapshotLoaded {
 				t.Fatalf("recovery from the new snapshot: %v, %+v", err, rs)
