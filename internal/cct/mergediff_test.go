@@ -301,3 +301,83 @@ func TestNormalizeAddressesUnifiesAcrossRuns(t *testing.T) {
 		t.Fatal("NormalizeAddresses not idempotent")
 	}
 }
+
+// randRawTree builds a random tree whose exclusive slots are set directly:
+// signed fractional sums (float addition order shows in the bits), slots
+// left empty, slots with a sum but no count, and nodes whose slot arrays
+// stop short of the schema, so some subtrees never measure a metric.
+func randRawTree(rng *rand.Rand) *Tree {
+	t := New()
+	metrics := 1 + rng.Intn(4)
+	for i := 0; i < metrics; i++ {
+		t.MetricID([]string{MetricGPUTime, MetricCPUTime, MetricKernelCount, "papi:cycles"}[i])
+	}
+	for p := 0; p < 1+rng.Intn(12); p++ {
+		var frames []Frame
+		for d := 0; d < 1+rng.Intn(5); d++ {
+			frames = append(frames, OperatorFrame([]string{"a", "b", "c"}[rng.Intn(3)]))
+		}
+		t.InsertPath(frames)
+	}
+	t.Visit(func(n *Node) {
+		n.Excl = make([]Metric, rng.Intn(metrics+1))
+		for i := range n.Excl {
+			switch rng.Intn(4) {
+			case 0: // empty
+			case 1:
+				n.Excl[i] = Metric{Sum: rng.NormFloat64() * 1e3} // a sum with no count
+			default:
+				n.Excl[i] = Metric{Sum: rng.NormFloat64() * 1e3, Count: 1 + rng.Int63n(3)}
+			}
+		}
+	})
+	return t
+}
+
+// WalkInclusive yields, once per node and children first, exactly the
+// bits DeriveInclusive stores — on signed, sparse and diff trees — and
+// leaves Incl alone.
+func TestWalkInclusiveEqualsDerive(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := randRawTree(rng)
+		for _, tree := range []*Tree{a, Diff(a, randRawTree(rng)), Diff(randTree(rng), randTree(rng))} {
+			tree.Visit(func(n *Node) { n.Incl = nil })
+			walked := make([]map[*Node]float64, tree.Schema.Len())
+			for id := range walked {
+				walked[id] = make(map[*Node]float64)
+				tree.WalkInclusive(MetricID(id), func(n *Node, v float64) {
+					for _, c := range n.Children() {
+						if _, done := walked[id][c]; !done {
+							t.Errorf("seed %d: %s yielded before its child %s", seed, n.Label(), c.Label())
+						}
+					}
+					if _, again := walked[id][n]; again {
+						t.Errorf("seed %d: %s yielded twice", seed, n.Label())
+					}
+					walked[id][n] = v
+				})
+				if len(walked[id]) != tree.NodeCount() {
+					t.Errorf("seed %d: %d nodes yielded of %d", seed, len(walked[id]), tree.NodeCount())
+				}
+			}
+			tree.Visit(func(n *Node) {
+				if n.Incl != nil {
+					t.Errorf("seed %d: WalkInclusive wrote Incl", seed)
+				}
+			})
+			tree.DeriveInclusive()
+			tree.Visit(func(n *Node) {
+				for id := range walked {
+					if got, want := walked[id][n], n.InclValue(MetricID(id)); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("seed %d: %s metric %d: walked %v, derived %v", seed, n.Label(), id, got, want)
+					}
+				}
+			})
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

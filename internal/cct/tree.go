@@ -294,6 +294,36 @@ func (t *Tree) DeriveInclusive() {
 	rec(t.Root)
 }
 
+// WalkInclusive calls fn for every node in post-order (children before
+// parent) with the node's inclusive sum of metric id, derived from the
+// exclusive slots exactly as DeriveInclusive derives it — own slot first,
+// then each child in child order, an empty side copied rather than added —
+// so the sums are bit-identical to InclValue after a derive. It writes no
+// node's Incl: a reader of one metric pays for one.
+func (t *Tree) WalkInclusive(id MetricID, fn func(*Node, float64)) {
+	var rec func(n *Node) (float64, int64)
+	rec = func(n *Node) (float64, int64) {
+		var sum float64
+		var count int64
+		if int(id) < len(n.Excl) {
+			sum, count = n.Excl[id].Sum, n.Excl[id].Count
+		}
+		for _, c := range n.order {
+			cs, cc := rec(c)
+			switch {
+			case cc == 0:
+			case count == 0:
+				sum, count = cs, cc
+			default:
+				sum, count = sum+cs, count+cc
+			}
+		}
+		fn(n, sum)
+		return sum, count
+	}
+	rec(t.Root)
+}
+
 // Visit walks the tree depth-first (parent before children).
 func (t *Tree) Visit(fn func(*Node)) {
 	var rec func(*Node)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"deepcontext/internal/cct"
@@ -222,22 +223,54 @@ func clip(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
-// Folded writes Brendan Gregg folded-stacks lines: "a;b;c value".
+// Folded writes Brendan Gregg folded-stacks lines: "a;b;c value", one per
+// node with a positive (or NaN) exclusive value, in pre-order, each label's
+// ';' escaped as ','. One walk keeps the path to the current node as a
+// shared prefix, so no line builds a path of its own.
 func Folded(w *strings.Builder, tree *cct.Tree, metric string) error {
 	id, ok := tree.Schema.Lookup(metric)
 	if !ok {
 		return fmt.Errorf("flamegraph: metric %q not in profile", metric)
 	}
-	tree.Visit(func(n *cct.Node) {
-		v := n.ExclValue(id)
-		if v <= 0 || n.Kind == cct.KindRoot {
-			return
+	// buf[start:] is the path to the node being visited: a path starts
+	// below the nearest root frame (cct.Node.Path), and sep says whether
+	// the node's label follows another.
+	var buf []byte
+	var rec func(n *cct.Node, start int, sep bool)
+	rec = func(n *cct.Node, start int, sep bool) {
+		mark := len(buf)
+		if n.Kind == cct.KindRoot {
+			start, sep = mark, false
+		} else {
+			if sep {
+				buf = append(buf, ';')
+			}
+			buf, sep = appendEscaped(buf, n.Label()), true
+			if v := n.ExclValue(id); !(v <= 0) {
+				end := len(buf)
+				buf = append(strconv.AppendFloat(append(buf, ' '), v, 'f', 0, 64), '\n')
+				w.Write(buf[start:])
+				buf = buf[:end]
+			}
 		}
-		var parts []string
-		for _, f := range n.Path() {
-			parts = append(parts, strings.ReplaceAll(f.Label(), ";", ","))
+		for _, c := range n.Children() {
+			rec(c, start, sep)
 		}
-		fmt.Fprintf(w, "%s %.0f\n", strings.Join(parts, ";"), v)
-	})
+		buf = buf[:mark]
+	}
+	rec(tree.Root, 0, false)
 	return nil
+}
+
+// appendEscaped appends label with every ';' replaced by ',', the folded
+// format's frame separator.
+func appendEscaped(b []byte, label string) []byte {
+	for {
+		i := strings.IndexByte(label, ';')
+		if i < 0 {
+			return append(b, label...)
+		}
+		b = append(append(b, label[:i]...), ',')
+		label = label[i+1:]
+	}
 }

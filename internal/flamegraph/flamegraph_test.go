@@ -2,7 +2,11 @@ package flamegraph
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -265,5 +269,119 @@ func TestBuildSignedBottomUp(t *testing.T) {
 	}
 	if labels["aten::index"] != 300 || labels["aten::copy_"] != -300 {
 		t.Fatalf("bottom-up deltas = %v, want aten::index=+300 aten::copy_=-300", labels)
+	}
+}
+
+// foldedReference is the renderer Folded replaced — a path, a []string,
+// a join and an fmt.Fprintf per node — kept as the oracle its bytes must
+// equal.
+func foldedReference(w *strings.Builder, tree *cct.Tree, metric string) {
+	id, _ := tree.Schema.Lookup(metric)
+	tree.Visit(func(n *cct.Node) {
+		v := n.ExclValue(id)
+		if v <= 0 || n.Kind == cct.KindRoot {
+			return
+		}
+		var parts []string
+		for _, f := range n.Path() {
+			parts = append(parts, strings.ReplaceAll(f.Label(), ";", ","))
+		}
+		fmt.Fprintf(w, "%s %.0f\n", strings.Join(parts, ";"), v)
+	})
+}
+
+// randFoldedTree builds a tree whose labels hold ';' and empty names, with
+// a root-kind frame inside it, and whose exclusive values include zero,
+// negatives, fractions, huge values, NaN and both infinities.
+func randFoldedTree(rng *rand.Rand) *cct.Tree {
+	t := cct.New()
+	gid := t.MetricID(cct.MetricGPUTime)
+	names := []string{"a", "b;c", ";", "", "aten::mm", "x;;y"}
+	values := []float64{0, 1, 2.5, 0.4, 0.5, -3, 1e21, 123456789.5, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for p := 0; p < 1+rng.Intn(10); p++ {
+		var frames []cct.Frame
+		for d := 0; d < 1+rng.Intn(4); d++ {
+			switch rng.Intn(6) {
+			case 0:
+				frames = append(frames, cct.PythonFrame("m;odel.py", rng.Intn(3), names[rng.Intn(len(names))]))
+			case 1:
+				frames = append(frames, cct.Frame{Kind: cct.KindRoot})
+			default:
+				frames = append(frames, cct.OperatorFrame(names[rng.Intn(len(names))]))
+			}
+		}
+		n := t.InsertPath(frames)
+		t.AddMetric(n, gid, values[rng.Intn(len(values))])
+	}
+	return t
+}
+
+// Folded streams exactly the bytes the per-node renderer wrote.
+func TestFoldedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	trees := []*cct.Tree{sampleTree(), signedTree()}
+	for i := 0; i < 300; i++ {
+		trees = append(trees, randFoldedTree(rng))
+	}
+	for i, tree := range trees {
+		var got, want strings.Builder
+		if err := Folded(&got, tree, cct.MetricGPUTime); err != nil {
+			t.Fatal(err)
+		}
+		foldedReference(&want, tree, cct.MetricGPUTime)
+		if got.String() != want.String() {
+			t.Fatalf("tree %d: folded output differs\n got: %q\nwant: %q", i, got.String(), want.String())
+		}
+	}
+}
+
+// wideAggregate is the aggregate of eight series of 256 calling contexts
+// each (python line → operator → kernel): 417 nodes.
+func wideAggregate() *cct.Tree {
+	t := cct.New()
+	gid := t.MetricID(cct.MetricGPUTime)
+	for s := 0; s < 8; s++ {
+		for i := 0; i < 256; i++ {
+			n := t.InsertPath([]cct.Frame{
+				cct.PythonFrame("train.py", i%40+1, fmt.Sprintf("fn%d", i%40)),
+				cct.OperatorFrame(fmt.Sprintf("aten::op%d", i%60)),
+				{Kind: cct.KindKernel, Name: fmt.Sprintf("kern%d", i), Lib: "[gpu]", PC: uint64(0x1000 + i*16)},
+			})
+			t.AddMetric(n, gid, float64(i+1))
+		}
+	}
+	return t
+}
+
+// A folded render allocates its output and a prefix buffer, not a path,
+// a slice and a string per node: the per-node renderer took ~294 KB.
+func TestFoldedAllocBound(t *testing.T) {
+	tree := wideAggregate()
+	if n := tree.NodeCount(); n != 417 {
+		t.Fatalf("fixture has %d nodes, want 417", n)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var sb strings.Builder
+		if err := Folded(&sb, tree, cct.MetricGPUTime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 64<<10 {
+		t.Fatalf("Folded of a 417-node tree allocated %d B per call, want ≤ %d", got, 64<<10)
+	}
+}
+
+func BenchmarkFoldedWide(b *testing.B) {
+	tree := wideAggregate()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var sb strings.Builder
+		if err := Folded(&sb, tree, cct.MetricGPUTime); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,11 +3,13 @@
 // DecodeBundle uses (v5.go) with a cct.Plan as its sink, so the two accept
 // exactly the same databases; frames, their normalized addresses and the
 // exclusive metric slots go straight into the plan, which the store folds
-// into a window tree under its lock. A v4 or legacy gob body is upgraded
-// to v5 bytes at the door, like any other input.
+// into a window tree under its lock. A v4 body is planned as it is, its
+// inclusive slots skipped, and hands on its v5 form; a legacy gob body is
+// upgraded to v5 bytes at the door.
 package profdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 
@@ -23,8 +25,9 @@ type Planned struct {
 	Meta profiler.Meta
 	Plan *cct.Plan
 
-	// record is the validated record the profile was planned from, and
-	// body the whole database when that record was its only one.
+	// record is the validated record the profile was planned from (a v4
+	// record's v5 form), and body the whole database when that record was
+	// its only one and v5.
 	record, body []byte
 }
 
@@ -86,6 +89,7 @@ func (ps *Plans) Release() {
 }
 
 func (ps *Plans) plan(data []byte) error {
+	ps.rr.v4 = bytes.HasPrefix(data, []byte(formatMagicV4))
 	data, err := upgrade(data)
 	if err != nil {
 		return err
@@ -99,10 +103,13 @@ func (ps *Plans) plan(data []byte) error {
 		plan.Reset()
 		var p profiler.Profile
 		name, err := ps.rr.record(rec, &p, false, plan)
+		if ps.rr.v4 && err == nil {
+			rec = bytes.Clone(ps.rr.v5)
+		}
 		ps.Records = append(ps.Records, Planned{Name: name, Meta: p.Meta, Plan: plan, record: rec})
 		return err
 	})
-	if err == nil && len(ps.Records) == 1 {
+	if err == nil && len(ps.Records) == 1 && !ps.rr.v4 {
 		ps.Records[0].body = data
 	}
 	return err

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"deepcontext/internal/cct"
@@ -272,6 +273,30 @@ func fuzzSeedsPlan(tb testing.TB) [][]byte {
 		saveBytes(tb, Entry{Profile: sampleProfile()}, Entry{Profile: &profiler.Profile{Tree: randPlanTree(rng)}}),
 		rawDatabase(rawRecord(slotNode(0, cct.KindRoot, 0, nil, new(float64)))),
 	)
+}
+
+// TestPlanV4ColdPoolsAllocBound plans each v4 seed with every sync.Pool
+// empty — two collections clear a pool and its victim cache — which is
+// what FuzzPlanRecord meets when the race detector drops pooled items, and
+// holds it to that fuzzer's allocation bound. Upgrading a v4 body by
+// building its tree and encoding it again broke the bound with cold pools.
+func TestPlanV4ColdPoolsAllocBound(t *testing.T) {
+	for i, seed := range fuzzSeedsPlan(t) {
+		if !bytes.HasPrefix(seed, []byte(formatMagicV4)) {
+			continue
+		}
+		runtime.GC()
+		runtime.GC()
+		var ps *Plans
+		var err error
+		got := heapDelta(func() { ps, err = PlanBundle(seed) })
+		if err == nil {
+			ps.Release()
+		}
+		if limit := uint64(128*len(seed) + 16<<10); got > limit {
+			t.Errorf("seed %d: planning %d v4 bytes with cold pools allocated %d (limit %d)", i, len(seed), got, limit)
+		}
+	}
 }
 
 // FuzzPlanRecord holds the parser's two sinks to each other over arbitrary

@@ -177,22 +177,13 @@ func checkLimit(data []byte, maxBytes int64) error {
 // stored: the loaders derive the inclusive ones. It accepts exactly what
 // PlanBundle accepts; failures match ErrCorrupt.
 func DecodeBundle(data []byte) ([]Entry, error) {
-	v4 := bytes.HasPrefix(data, []byte(formatMagicV4))
-	if !v4 {
-		var err error
-		if data, err = upgrade(data); err != nil {
-			return nil, err
-		}
+	rr := recordReader{v4: bytes.HasPrefix(data, []byte(formatMagicV4))}
+	data, err := upgrade(data)
+	if err != nil {
+		return nil, err
 	}
-	return decodeRecords(data, v4)
-}
-
-// decodeRecords reads the records of a v5 database, or of a v4 one when
-// v4 is set, into trees.
-func decodeRecords(data []byte, v4 bool) ([]Entry, error) {
 	var out []Entry
-	rr := recordReader{v4: v4}
-	err := eachRecord(data, func(rec []byte) error {
+	err = eachRecord(data, func(rec []byte) error {
 		p := &profiler.Profile{Tree: cct.New()}
 		name, err := rr.record(rec, p, true, &treeBuilder{tree: p.Tree, rr: &rr})
 		out = append(out, Entry{Name: name, Profile: p})
@@ -204,20 +195,14 @@ func decodeRecords(data []byte, v4 bool) ([]Entry, error) {
 	return out, nil
 }
 
-// upgrade returns data as a v5 database: itself, or a v4 or legacy gob v2
-// database decoded and encoded again as v5, so that past the door the one
-// parser and everything after it see v5 only.
+// upgrade returns data as the one parser reads it: a v5 or v4 database
+// as it is, and a legacy gob v2 one decoded and encoded again as v5. (The
+// parser hands on a v4 record's v5 form, so no v4 byte goes further.)
 func upgrade(data []byte) ([]byte, error) {
-	var entries []Entry
-	var err error
-	switch {
-	case bytes.HasPrefix(data, []byte(FormatMagic)):
+	if bytes.HasPrefix(data, []byte(FormatMagic)) || bytes.HasPrefix(data, []byte(formatMagicV4)) {
 		return data, nil
-	case bytes.HasPrefix(data, []byte(formatMagicV4)):
-		entries, err = decodeRecords(data, true)
-	default:
-		entries, err = decodeLegacy(data)
 	}
+	entries, err := decodeLegacy(data)
 	if err != nil {
 		return nil, err
 	}

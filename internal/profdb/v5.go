@@ -260,8 +260,10 @@ type nodeSink interface {
 type recordReader struct {
 	wire.Reader
 	// v4 is set while reading v4 records, whose nodes end in inclusive
-	// slots: they are validated into skip and dropped.
+	// slots: they are validated into skip and dropped, and v5 receives the
+	// record's v5 form, all of it but those slots.
 	v4    bool
+	v5    []byte
 	skip  []cct.Metric
 	spans [][2]int
 	table []string
@@ -318,12 +320,17 @@ func (rr *recordReader) record(rec []byte, p *profiler.Profile, fused bool, s no
 	if rr.nodes == 0 {
 		rr.Fail("record has no root node")
 	}
+	if rr.v4 {
+		rr.v5 = append(slices.Grow(rr.v5[:0], len(rec)), rec[:rr.Offset()]...)
+	}
 	for i := 0; i < rr.nodes; i++ {
+		start := rr.Offset()
 		parent := rr.Uvarint()
 		f := cct.Frame{Kind: cct.FrameKind(rr.Byte())}
 		f.Name, f.File, f.Line, f.Lib, f.PC = rr.ref(), rr.ref(), int(rr.Varint()), rr.ref(), rr.Uvarint()
 		excl := rr.slots(s.Slots(rr.slotCount(names)))
 		if rr.v4 {
+			rr.v5 = append(rr.v5, rec[start:rr.Offset()]...)
 			n := rr.slotCount(names)
 			rr.skip = slices.Grow(rr.skip[:0], n)[:n]
 			clear(rr.skip)

@@ -157,15 +157,14 @@ func foldRange(walk walkFunc, from, to time.Time, filter Labels, add func(foldIt
 
 // foldTree merges every walked tree into one fresh tree: the aggregate
 // behind Aggregate, Hotspots, /flame and /analyze. Window trees hold
-// exclusive aggregates only; the result's inclusive ones are derived once
-// the fold is done.
+// exclusive aggregates only, and so does the result: a reader that needs
+// inclusive ones derives them after the shard locks drop.
 func foldTree(walk walkFunc, from, to time.Time, filter Labels) (*cct.Tree, AggregateInfo, error) {
 	out := cct.New()
 	info, err := foldRange(walk, from, to, filter, func(it foldItem) { it.mergeInto(out) })
 	if err != nil {
 		return nil, info, err
 	}
-	out.DeriveInclusive()
 	return out, info, nil
 }
 
@@ -209,10 +208,9 @@ func (d *diffSide) resolve() (winKey, bool) {
 }
 
 // foldDiffSide merges the resolved bucket's matched series into a fresh
-// tree, its inclusive aggregates derived. Unlike a range fold it reads
-// exactly one bucket — a coarse
-// fallback must not sweep in fine windows sharing its range. The caller
-// prefixes errors with the side's name.
+// tree of exclusive aggregates. Unlike a range fold it reads exactly one
+// bucket — a coarse fallback must not sweep in fine windows sharing its
+// range. The caller prefixes errors with the side's name.
 func foldDiffSide(d *diffSide, t time.Time, filter Labels) (*cct.Tree, error) {
 	key, ok := d.resolve()
 	if !ok {
@@ -236,7 +234,6 @@ func foldDiffSide(d *diffSide, t time.Time, filter Labels) (*cct.Tree, error) {
 		return nil, fmt.Errorf("no series match %s in window %v: %w",
 			filter.Key(), time.Unix(0, key.start).UTC(), ErrNoData)
 	}
-	out.DeriveInclusive()
 	return out, nil
 }
 

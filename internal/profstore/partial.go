@@ -25,6 +25,7 @@ package profstore
 // it no longer owns after the routing table commits.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -264,19 +265,22 @@ func walkPartials(parts []SeriesPartial, mode PartialMode) walkFunc {
 }
 
 // FoldAggregate merges a multi-node union of tree partials into one fresh
-// tree, byte-equal to Store.Aggregate over the same data — error text
-// included (HTTP error bodies are compared too).
+// tree, its inclusive aggregates derived, byte-equal to Store.Aggregate
+// over the same data — error text included (HTTP error bodies are
+// compared too).
 func FoldAggregate(parts []SeriesPartial, from, to time.Time, filter Labels) (*cct.Tree, AggregateInfo, error) {
-	return foldTree(walkPartials(parts, PartialTrees), from, to, filter)
+	tree, info, err := foldTree(walkPartials(parts, PartialTrees), from, to, filter)
+	if err == nil {
+		tree.DeriveInclusive()
+	}
+	return tree, info, err
 }
 
 // FoldHotspots ranks a multi-node union of tree partials, byte-equal to
 // Store.Hotspots.
 func FoldHotspots(parts []SeriesPartial, from, to time.Time, filter Labels, metric string, top int) ([]Hotspot, AggregateInfo, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
-	tree, info, err := FoldAggregate(parts, from, to, filter)
+	metric = cmp.Or(metric, cct.MetricGPUTime)
+	tree, info, err := foldTree(walkPartials(parts, PartialTrees), from, to, filter)
 	if err != nil {
 		return nil, info, err
 	}
@@ -287,9 +291,7 @@ func FoldHotspots(parts []SeriesPartial, from, to time.Time, filter Labels, metr
 // FoldTopK ranks a multi-node union of aggregate partials, byte-equal to
 // Store.TopK.
 func FoldTopK(parts []SeriesPartial, from, to time.Time, filter Labels, metric string, k int) ([]TopKRow, AggregateInfo, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
+	metric = cmp.Or(metric, cct.MetricGPUTime)
 	acc, info, err := foldTopK(walkPartials(parts, PartialAggs), from, to, filter, metric)
 	if err != nil {
 		return nil, info, err
@@ -301,9 +303,7 @@ func FoldTopK(parts []SeriesPartial, from, to time.Time, filter Labels, metric s
 // FoldSearch ranks a multi-node union of aggregate partials, byte-equal to
 // Store.Search: the same fold over the same aggregates.
 func FoldSearch(parts []SeriesPartial, from, to time.Time, filter Labels, frame, metric string, limit int) ([]SearchRow, AggregateInfo, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
+	metric = cmp.Or(metric, cct.MetricGPUTime)
 	acc, info, err := foldSearch(walkPartials(parts, PartialAggs), from, to, filter, frame, metric)
 	if err != nil {
 		return nil, info, err
@@ -348,8 +348,9 @@ func (s *Store) DiffPartials(ctx context.Context, t time.Time, filter Labels) (D
 }
 
 // FoldDiffSide resolves and merges one side of a cluster diff over every
-// node's export, byte-equal to the same side of Store.Diff — errors
-// included. The caller wraps the error with the before/after prefix.
+// node's export into a tree of exclusive aggregates, byte-equal to the
+// same side of Store.Diff — errors included. The caller wraps the error
+// with the before/after prefix.
 func FoldDiffSide(parts []DiffPartials, t time.Time, filter Labels) (*cct.Tree, error) {
 	var d diffSide
 	var fine, coarse []SeriesPartial
@@ -370,9 +371,7 @@ func FoldDiffSide(parts []DiffPartials, t time.Time, filter Labels) (*cct.Tree, 
 // BuildDiff assembles the signed comparison of two folded sides, byte-equal
 // to Store.Diff over the same data.
 func BuildDiff(beforeTree, afterTree *cct.Tree, metric string, top int) (*DiffResult, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
+	metric = cmp.Or(metric, cct.MetricGPUTime)
 	return buildDiffResult(beforeTree, afterTree, metric, top)
 }
 

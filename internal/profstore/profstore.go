@@ -110,6 +110,7 @@
 package profstore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -640,7 +641,7 @@ func (s *Store) Aggregate(ctx context.Context, from, to time.Time, filter Labels
 		func() (*cct.Tree, AggregateInfo, error) {
 			return foldTree(s.walker(ctx, from, to, filter), from, to, filter)
 		},
-		func(tree *cct.Tree) (*cct.Tree, error) { return tree, nil })
+		func(tree *cct.Tree) (*cct.Tree, error) { tree.DeriveInclusive(); return tree, nil })
 }
 
 // walker feeds a fold from the store's canonical walk. The fold must run
@@ -706,9 +707,7 @@ type Hotspot struct {
 // aggregate of [from, to) under filter. With the query cache enabled the
 // returned rows may be shared and must be treated as read-only.
 func (s *Store) Hotspots(ctx context.Context, from, to time.Time, filter Labels, metric string, top int) ([]Hotspot, AggregateInfo, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
+	metric = cmp.Or(metric, cct.MetricGPUTime)
 	return cachedRange(s, from, to,
 		func() string {
 			return fmt.Sprintf("hot|%d|%d|%s|%s|%d", from.UnixNano(), to.UnixNano(), filter.Key(), metric, top)
@@ -719,40 +718,60 @@ func (s *Store) Hotspots(ctx context.Context, from, to time.Time, filter Labels,
 		func(tree *cct.Tree) ([]Hotspot, error) { return rankHotspots(tree, metric, top) })
 }
 
-// rankHotspots flattens a (fresh, caller-owned) aggregate tree into rows
-// ranked by exclusive-metric magnitude.
+// rankHotspots ranks an aggregate tree's contexts by exclusive-metric
+// magnitude. It reads exclusive slots only: the kept rows' inclusive sums
+// and the root total come from one WalkInclusive, and paths and labels are
+// built for the kept rows alone.
 func rankHotspots(tree *cct.Tree, metric string, top int) ([]Hotspot, error) {
 	id, ok := tree.Schema.Lookup(metric)
 	if !ok {
 		return nil, fmt.Errorf("metric %q not present (known: %s): %w",
 			metric, strings.Join(tree.Schema.Names(), ", "), ErrUnknownMetric)
 	}
-	total := tree.Root.InclValue(id)
-	var rows []Hotspot
-	tree.Visit(func(n *cct.Node) {
-		v := n.ExclValue(id)
-		if v == 0 || n.Kind == cct.KindRoot {
-			return
-		}
-		h := Hotspot{Label: n.Label(), Kind: n.Kind.String(), Excl: v, Incl: n.InclValue(id)}
-		for _, f := range n.Path() {
-			h.Path = append(h.Path, f.Label())
-		}
-		if total != 0 {
-			h.Frac = v / total
-		}
-		rows = append(rows, h)
-	})
-	sort.SliceStable(rows, func(i, j int) bool {
-		return math.Abs(rows[i].Excl) > math.Abs(rows[j].Excl)
-	})
-	if top > 0 && len(rows) > top {
-		rows = rows[:top]
+	type candidate struct {
+		n *cct.Node
+		v float64
 	}
+	var cands []candidate
+	tree.Visit(func(n *cct.Node) {
+		if v := n.ExclValue(id); v != 0 && n.Kind != cct.KindRoot {
+			cands = append(cands, candidate{n, v})
+		}
+	})
+	var rows []Hotspot
+	cands = topByMagnitude(cands, top, func(c *candidate) float64 { return c.v })
+	kept := make(map[*cct.Node]int, len(cands))
+	for i, c := range cands {
+		kept[c.n] = i
+		rows = append(rows, Hotspot{Rank: i + 1, Label: c.n.Label(), Kind: c.n.Kind.String(), Excl: c.v})
+		for _, f := range c.n.Path() {
+			rows[i].Path = append(rows[i].Path, f.Label())
+		}
+	}
+	var total float64
+	tree.WalkInclusive(id, func(n *cct.Node, incl float64) {
+		if i, ok := kept[n]; ok {
+			rows[i].Incl = incl
+		}
+		total = incl // the root comes last
+	})
 	for i := range rows {
-		rows[i].Rank = i + 1
+		if total != 0 {
+			rows[i].Frac = rows[i].Excl / total
+		}
 	}
 	return rows, nil
+}
+
+// topByMagnitude stable-sorts rows by the magnitude of mag, largest first,
+// and keeps the first n (all when n ≤ 0): the one ranking behind /hotspots,
+// /diff, /topk and /search.
+func topByMagnitude[T any](rows []T, n int, mag func(*T) float64) []T {
+	sort.SliceStable(rows, func(i, j int) bool { return math.Abs(mag(&rows[i])) > math.Abs(mag(&rows[j])) })
+	if n > 0 && len(rows) > n {
+		rows = rows[:n]
+	}
+	return rows
 }
 
 // DiffRow is one changed calling context of a window-vs-window comparison,
@@ -789,9 +808,7 @@ type DiffResult struct {
 // over the same profiles (up to child order). With the query cache enabled
 // the result may be shared and must be treated as read-only.
 func (s *Store) Diff(ctx context.Context, before, after time.Time, filter Labels, metric string, top int) (*DiffResult, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
+	metric = cmp.Or(metric, cct.MetricGPUTime)
 	// Resolve windows and aggregate under one all-shard read lock: a
 	// compaction pass between the two steps could fold a just-resolved
 	// fine window into a coarse bucket, making retained data look absent.
@@ -848,13 +865,7 @@ func buildDiffResult(beforeTree, afterTree *cct.Tree, metric string, top int) (*
 		return nil, fmt.Errorf("metric %q not present in either window (known: %s): %w",
 			metric, strings.Join(diff.Schema.Names(), ", "), ErrUnknownMetric)
 	}
-	res := &DiffResult{Metric: metric, Tree: diff}
-	if bid, ok := beforeTree.Schema.Lookup(metric); ok {
-		res.BeforeTotal = beforeTree.Root.InclValue(bid)
-	}
-	if aid, ok := afterTree.Schema.Lookup(metric); ok {
-		res.AfterTotal = afterTree.Root.InclValue(aid)
-	}
+	res := &DiffResult{Metric: metric, Tree: diff, BeforeTotal: inclTotal(beforeTree, metric), AfterTotal: inclTotal(afterTree, metric)}
 	res.Net = res.AfterTotal - res.BeforeTotal
 
 	beforeVals := exclByPath(beforeTree, metric)
@@ -873,16 +884,19 @@ func buildDiffResult(beforeTree, afterTree *cct.Tree, metric string, top int) (*
 			After:  afterVals[key],
 		})
 	})
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		return math.Abs(res.Rows[i].Delta) > math.Abs(res.Rows[j].Delta)
-	})
-	if top > 0 && len(res.Rows) > top {
-		res.Rows = res.Rows[:top]
-	}
+	res.Rows = topByMagnitude(res.Rows, top, func(r *DiffRow) float64 { return r.Delta })
 	for i := range res.Rows {
 		res.Rows[i].Rank = i + 1
 	}
 	return res, nil
+}
+
+// inclTotal is tree's root inclusive sum of metric, 0 when it is absent.
+func inclTotal(tree *cct.Tree, metric string) (total float64) {
+	if id, ok := tree.Schema.Lookup(metric); ok {
+		tree.WalkInclusive(id, func(_ *cct.Node, incl float64) { total = incl }) // the root comes last
+	}
+	return total
 }
 
 // exclByPath flattens a tree into path-key → exclusive value for metric.

@@ -51,6 +51,59 @@ func BenchmarkHotspotsUncached(b *testing.B) { benchmarkHotspots(b, 0) }
 
 func BenchmarkHotspotsCached(b *testing.B) { benchmarkHotspots(b, 128) }
 
+// wideHotspotsStore holds 30 windows × 8 series of wideProfile(…, 256):
+// each uncached query folds 240 window trees into a 417-node aggregate
+// and ranks it, the shape of a dashboard's /hotspots panel.
+func wideHotspotsStore(tb testing.TB) *Store {
+	tb.Helper()
+	clock := newClock(base)
+	s := New(Config{Window: time.Minute, Shards: 4, Now: clock.Now})
+	for w := 0; w < 30; w++ {
+		for si := 0; si < 8; si++ {
+			if _, err := s.Ingest(wideProfile(fmt.Sprintf("W%d", si), 256)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		clock.Advance(time.Minute)
+	}
+	return s
+}
+
+// BenchmarkHotspotsUncachedWide measures one uncached /hotspots over wide
+// trees: the fold, then a ranking that reads one metric and builds paths
+// for its ten kept rows only.
+func BenchmarkHotspotsUncachedWide(b *testing.B) {
+	s := wideHotspotsStore(b)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Hotspots(context.Background(), time.Time{}, time.Time{}, Labels{}, cct.MetricGPUTime, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestHotspotsUncachedWideAllocBound pins what an uncached wide /hotspots
+// allocates: the fold's tree, plus candidates, ten rows and their paths.
+// Deriving every inclusive slot and building a path for every non-zero
+// row took 640,945 B.
+func TestHotspotsUncachedWideAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is slow")
+	}
+	s := wideHotspotsStore(t)
+	defer s.Close()
+	got := bytesPerRun(10, func() {
+		if _, _, err := s.Hotspots(context.Background(), time.Time{}, time.Time{}, Labels{}, cct.MetricGPUTime, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 400_000 {
+		t.Fatalf("uncached wide Hotspots allocated %d B per query, want ≤ 400,000", got)
+	}
+}
+
 // populateFleet fills a store with one closed window of seriesN distinct
 // series — the fleet-query shape: many series, wide trees (32 calling
 // contexts each, the representative profile width; the 6-frame

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"deepcontext/internal/cct"
+	"deepcontext/internal/flamegraph"
 )
 
 // seriesTotal reads one series' aggregate GPU total; absent data reads 0.
@@ -386,4 +388,98 @@ func TestCacheEviction(t *testing.T) {
 	if cs.Evictions != 6 {
 		t.Fatalf("evictions = %d, want 6 (%+v)", cs.Evictions, cs)
 	}
+}
+
+// TestQueryFinishRaceUnderIngest runs the query work that happens after
+// the shard locks drop — an uncached Hotspots' ranking, Aggregate's
+// derive and a folded render of its tree, Diff's totals and delta tree —
+// concurrently with ingest, window rolls and compaction. Under -race it
+// shows that none of that work reads a live window tree; each answer must
+// also be internally consistent.
+func TestQueryFinishRaceUnderIngest(t *testing.T) {
+	clock := newClock(base)
+	s := New(Config{Window: time.Minute, Retention: 3, CoarseFactor: 2, Shards: 4, Now: clock.Now})
+	defer s.Close()
+	ctx := context.Background()
+	for si := 0; si < 4; si++ { // so the first queries find data
+		if _, err := s.Ingest(wideProfile(fmt.Sprintf("W%d", si), 48)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var writers sync.WaitGroup
+	for si := 0; si < 4; si++ {
+		writers.Add(1)
+		go func(si int) {
+			defer writers.Done()
+			p := wideProfile(fmt.Sprintf("W%d", si), 48)
+			for i := 0; i < 60; i++ {
+				if _, err := s.Ingest(p); err != nil {
+					t.Error(err)
+					return
+				}
+				if si == 0 && i%6 == 5 {
+					clock.Advance(time.Minute)
+					s.CompactNow()
+				}
+			}
+		}(si)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, query := range []func() error{
+		func() error {
+			rows, _, err := s.Hotspots(ctx, time.Time{}, time.Time{}, Labels{}, cct.MetricGPUTime, 5)
+			for _, r := range rows {
+				if r.Incl < r.Excl || r.Frac <= 0 || r.Frac > 1 {
+					return fmt.Errorf("inconsistent hotspot row %+v", r)
+				}
+			}
+			return err
+		},
+		func() error {
+			tree, _, err := s.Aggregate(ctx, time.Time{}, time.Time{}, Labels{})
+			if err != nil {
+				return err
+			}
+			gid, _ := tree.Schema.Lookup(cct.MetricGPUTime)
+			var excl float64
+			tree.Visit(func(n *cct.Node) { excl += n.ExclValue(gid) })
+			if incl := tree.Root.InclValue(gid); incl != excl {
+				return fmt.Errorf("aggregate root inclusive %v, exclusive sum %v", incl, excl)
+			}
+			var sb strings.Builder
+			return flamegraph.Folded(&sb, tree, cct.MetricGPUTime)
+		},
+		func() error {
+			now := clock.Now()
+			res, err := s.Diff(ctx, now.Add(-time.Minute), now, Labels{}, cct.MetricGPUTime, 5)
+			if err != nil {
+				return err
+			}
+			if gid, ok := res.Tree.Schema.Lookup(cct.MetricGPUTime); ok && res.Tree.Root.InclValue(gid) != res.Net {
+				return fmt.Errorf("diff tree total %v, net %v", res.Tree.Root.InclValue(gid), res.Net)
+			}
+			return nil
+		},
+	} {
+		readers.Add(1)
+		go func(query func() error) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := query(); err != nil && !errors.Is(err, ErrNoData) {
+					t.Error(err)
+					return
+				}
+			}
+		}(query)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
 }

@@ -10,9 +10,9 @@ package profstore
 // golden and property tests against the naive uncached reference.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -154,12 +154,7 @@ func (t *topkAcc) finish(k int) ([]TopKRow, error) {
 		}
 		rows = append(rows, r)
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return math.Abs(rows[i].Excl) > math.Abs(rows[j].Excl)
-	})
-	if k > 0 && len(rows) > k {
-		rows = rows[:k]
-	}
+	rows = topByMagnitude(rows, k, func(r *TopKRow) float64 { return r.Excl })
 	for i := range rows {
 		rows[i].Rank = i + 1
 	}
@@ -237,12 +232,7 @@ func (s *searchAcc) finish(limit int) ([]SearchRow, error) {
 			Framework: a.labels.Framework, Excl: a.excl, Windows: a.windows,
 		})
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return math.Abs(rows[i].Excl) > math.Abs(rows[j].Excl)
-	})
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
-	}
+	rows = topByMagnitude(rows, limit, func(r *SearchRow) float64 { return r.Excl })
 	for i := range rows {
 		rows[i].Rank = i + 1
 	}
@@ -256,9 +246,7 @@ func (s *searchAcc) finish(limit int) ([]SearchRow, error) {
 // the query cache enabled the returned rows may be shared and must be
 // treated as read-only.
 func (s *Store) TopK(ctx context.Context, from, to time.Time, filter Labels, metric string, k int) ([]TopKRow, AggregateInfo, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
+	metric = cmp.Or(metric, cct.MetricGPUTime)
 	return cachedRange(s, from, to,
 		func() string {
 			return fmt.Sprintf("topk|%d|%d|%s|%q|%d", from.UnixNano(), to.UnixNano(), filter.Key(), metric, k)
@@ -276,9 +264,7 @@ func (s *Store) TopK(ctx context.Context, from, to time.Time, filter Labels, met
 // With the query cache enabled the returned rows may be shared and must
 // be treated as read-only.
 func (s *Store) Search(ctx context.Context, from, to time.Time, filter Labels, frame, metric string, limit int) ([]SearchRow, AggregateInfo, error) {
-	if metric == "" {
-		metric = cct.MetricGPUTime
-	}
+	metric = cmp.Or(metric, cct.MetricGPUTime)
 	return cachedRange(s, from, to,
 		func() string {
 			return fmt.Sprintf("srch|%d|%d|%s|%q|%q|%d", from.UnixNano(), to.UnixNano(), filter.Key(), frame, metric, limit)
